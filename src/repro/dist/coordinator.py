@@ -14,12 +14,15 @@ Responsibilities:
   :class:`~repro.dist.comm.CommLayer` (bytes counted per link);
 * **supervise** — gather reports; a worker that exits without reporting
   (crash, kill fault) or reports an error is *retried once* in a fresh
-  process, and if that attempt also fails its blocks are *reassigned* to a
-  coordinator-local spare worker, so a single faulty rank cannot lose the
-  contraction;
-* **reduce** — seed ``beta*C``, copy every rank's C tiles out of its
-  output arena enforcing the one-producer-per-tile invariant, and merge
-  per-rank :class:`~repro.runtime.numeric.NumericStats` via
+  process, and if that attempt also fails its blocks are *reassigned* to
+  the coordinator's inline spare — the one rank runtime,
+  :func:`~repro.dist.worker.run_rank`, called in-process on the very
+  message a worker would have received — so a single faulty rank cannot
+  lose the contraction;
+* **reduce** — seed ``beta*C``, copy every producer's C tiles (rank or
+  handoff, worker or inline spare: each one an arena plus a C index) out
+  of its output arena enforcing the one-producer-per-tile invariant, and
+  merge per-producer :class:`~repro.runtime.numeric.NumericStats` via
   :meth:`NumericStats.merge`;
 * **observe** — merge every rank's monotonic
   :class:`~repro.runtime.tracing.SpanStream` (clock origins aligned via
@@ -36,8 +39,8 @@ Responsibilities:
 * **rebalance** — with ``rebalance=True``, a flagged straggler is asked
   to relinquish its unstarted blocks; the acked positions are handed off
   to a finished worker rank (or the coordinator's inline spare) as a
-  :class:`~repro.dist.comm.HandoffMsg`, executed through the same block
-  body for bit parity, journaled under the origin's rank into sidecar
+  :class:`~repro.dist.comm.HandoffMsg`, executed by the same rank runtime
+  for bit parity, journaled under the origin's rank into sidecar
   journals, and folded into the reduction as their own producer — one
   owner per block at every instant, so the one-producer-per-tile
   invariant survives any steal x fault interleaving (rules M407/M408 in
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -65,7 +69,7 @@ if TYPE_CHECKING:
     from repro.perf import Attribution, PerfModel, RooflineAudit
 
 from repro.core.plan import ExecutionPlan
-from repro.dist.bservice import ArenaBSource, BService, validate_b_budget
+from repro.dist.bservice import validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
@@ -82,19 +86,16 @@ from repro.dist.worker import (
     ABORT_EXIT_CODE,
     ScatterMsg,
     WorkerReport,
-    checkpoint_hooks,
-    execute_handoff_blocks,
-    modeled_a_link_bytes,
+    run_rank,
     worker_main,
 )
 from repro.runtime.data import GeneratedCollection, MatrixSource
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
-from repro.runtime.numeric import NumericStats, execute_proc_plan
+from repro.runtime.numeric import NumericStats
 from repro.runtime.tracing import SpanRecorder, Trace
 from repro.sparse.matrix import BlockSparseMatrix
 from repro.store import (
     TileStore,
-    WritebackJournal,
     b_fingerprint,
     plan_fingerprint,
     read_snapshot,
@@ -167,11 +168,6 @@ class DistReport:
     #: Run identifier the caller scoped this run's artifacts under
     #: (``None`` for unscoped one-shot runs).
     run_id: str | None = None
-
-    @property
-    def span_dropped(self) -> int:
-        """Deprecated alias for :attr:`spans_dropped` (pre-rename name)."""
-        return self.spans_dropped
 
     def summary(self) -> str:
         retried = {r: a for r, a in self.attempts.items() if a > 1}
@@ -600,16 +596,13 @@ def execute_plan_distributed(
                 for g, bi in stolen_blocks.get(rank, ())
             )
 
-        def scatter(rank: int, attempt: int) -> None:
-            """Ship one rank's plan, arenas, restore and exclusion lists.
+        def rank_msg(rank: int, attempt: int, fault) -> ScatterMsg:
+            """One rank's plan, arenas, restore and exclusion lists.
 
-            Protocol:
-                send scatter: coordinator -> worker [data]
+            Allocates the attempt's C arena.  The same message feeds a
+            worker process (:func:`scatter`) and the inline spare.
             """
             c_arenas[rank] = make_c_arena(rank, attempt)
-            inj = fault_plan.for_rank(rank) if fault_plan is not None else None
-            if inj is not None and not inj.armed(attempt):
-                inj = None
             stolen = stolen_blocks.get(rank, set())
             # A journal may already hold stolen blocks (the handoff's
             # sidecar): they are the handoff's to produce, not this rank's
@@ -626,7 +619,7 @@ def execute_plan_distributed(
                         for g, bi, _ in completed
                     ),
                 )
-            msg = ScatterMsg(
+            return ScatterMsg(
                 proc=plan.procs[rank],
                 grid=plan.grid,
                 gpus_per_proc=plan.grid.gpus_per_proc,
@@ -637,7 +630,7 @@ def execute_plan_distributed(
                 a_meta=a_meta,
                 b_spec=b_spec,
                 c_meta=c_arenas[rank].meta(),
-                fault=inj,
+                fault=fault,
                 attempt=attempt,
                 trace=trace,
                 max_spans=trace_max_spans,
@@ -652,6 +645,17 @@ def execute_plan_distributed(
                 excluded=tuple(sorted(stolen)),
                 rebalance=rebalance,
             )
+
+        def scatter(rank: int, attempt: int) -> None:
+            """Ship one rank's message to its worker process.
+
+            Protocol:
+                send scatter: coordinator -> worker [data]
+            """
+            inj = fault_plan.for_rank(rank) if fault_plan is not None else None
+            if inj is not None and not inj.armed(attempt):
+                inj = None
+            msg = rank_msg(rank, attempt, inj)
             t_send = clock()
             sent = coord.send(rank, msg)
             rec.record(f"scatter.{rank}", f"net.{rank}", t_send, clock())
@@ -687,7 +691,6 @@ def execute_plan_distributed(
 
         # ---- supervise / gather -------------------------------------------
         reports: dict[int, WorkerReport] = {}
-        local_results: dict[int, dict] = {}
         reassigned: list[int] = []
         stalled: list[int] = []
         pending = set(range(nranks))
@@ -699,74 +702,9 @@ def execute_plan_distributed(
         outstanding_relinquish: dict[int, int] = {}
         #: handoff id -> dispatch record (origin, helper, blocks, arena).
         pending_handoffs: dict[int, dict] = {}
-        #: handoff id -> (origin, tile payload, stats) for the reduction.
+        #: handoff id -> (origin, C arena, C index, stats) for the reduction.
         handoff_results: dict[int, tuple] = {}
         next_handoff = 0
-
-        def run_inline(rank: int) -> None:
-            """Reassign a twice-failed rank to a coordinator-local worker."""
-            if b_arena is not None:
-                b_local = ArenaBSource(b_arena)
-            else:
-                b_local = BService(
-                    b.empty_clone(), budget_bytes=plan.gpu_memory_bytes, recorder=rec,
-                    store=coord_store, store_ns=f"b:{b_hash}",
-                )
-            restore_block = on_block = None
-            journal = None
-            ckpt_counters = {"blocks_restored": 0, "tasks_skipped": 0}
-            if checkpoint_dir is not None:
-                # The inline worker journals and restores exactly like a
-                # real rank, so a reassigned rank's progress survives too.
-                journal = WritebackJournal(checkpoint_dir, rank)
-                restore_block, on_block, ckpt_counters = checkpoint_hooks(
-                    coord_store, journal, run_hash, rank,
-                    {(g, bi): tiles for g, bi, tiles in completed_for(rank)},
-                    registry,
-                )
-            try:
-                produced, stats = execute_proc_plan(
-                    plan.procs[rank],
-                    a.get_tile,
-                    b_local,
-                    gpus_per_proc=plan.grid.gpus_per_proc,
-                    gpu_memory_bytes=plan.gpu_memory_bytes,
-                    b_csr=plan.b_shape.csr,
-                    tau=plan.options.screen_threshold,
-                    alpha=alpha,
-                    on_event=rec.record if rec.enabled else None,
-                    clock=clock,
-                    restore_block=restore_block,
-                    on_block=on_block,
-                    # Blocks stolen from this rank belong to their handoffs
-                    # now — the inline spare must not produce them twice.
-                    skip_block=(
-                        (lambda g, bi, blk: (g, bi) in stolen_blocks[rank])
-                        if stolen_blocks.get(rank) else None
-                    ),
-                )
-            finally:
-                if journal is not None:
-                    journal.close()
-            stats.b_tiles_generated = b_local.generated_tiles()
-            local_results[rank] = produced
-            reports[rank] = WorkerReport(
-                rank=rank,
-                attempt=attempts[rank],
-                stats=stats,
-                c_index={},
-                spans=None,  # recorded directly into the coordinator's stream
-                link_bytes=modeled_a_link_bytes(plan.procs[rank], plan.grid, a_meta),
-                b_max_instantiations=b_local.max_instantiations(),
-                b_hits=b_local.hits,
-                b_lru_evictions=b_local.lru_evictions,
-                blocks_restored=ckpt_counters["blocks_restored"],
-                tasks_skipped=ckpt_counters["tasks_skipped"],
-            )
-            reassigned.append(rank)
-            m_reassigned.inc()
-            health.mark(rank, "reassigned")
-            events.emit("reassign", rank=rank, attempt=attempts[rank])
 
         def on_failure(rank: int, reason: str) -> None:
             suspects.pop(rank, None)
@@ -792,9 +730,22 @@ def execute_plan_distributed(
                 spawn(rank)
                 scatter(rank, attempt=attempts[rank] - 1)
             elif allow_reassign:
+                # The inline spare: the rank runtime called in-process, with
+                # no endpoint (no heartbeats, no relinquish polling) and
+                # never a fault — a re-armed kill would exit the
+                # coordinator.  Blocks stolen from the rank stay excluded.
                 attempts[rank] += 1
-                run_inline(rank)
+                report = run_rank(rank_msg(rank, attempts[rank] - 1, None))
+                reports[rank] = report
                 pending.discard(rank)
+                # The dead retry's process start is not this report's.
+                spawn_clock.pop(rank, None)
+                if report.metrics is not None:
+                    last_metrics[rank] = report.metrics
+                reassigned.append(rank)
+                m_reassigned.inc()
+                health.mark(rank, "reassigned")
+                events.emit("reassign", rank=rank, attempt=attempts[rank])
             else:
                 raise DistExecutionError(
                     f"rank {rank} failed after {attempts[rank]} attempt(s): {reason}"
@@ -865,15 +816,50 @@ def execute_plan_distributed(
             inline-reassigned rank has no worker process to send to.
             """
             for r in sorted(reports):
-                if r in pending or r in local_results:
-                    continue
-                proc = workers.get(r)
+                proc = workers.get(r)  # None for an inline-reassigned rank
                 if proc is not None and proc.is_alive():
                     return r
             return None
 
-        def run_handoff_inline(hid: int) -> None:
-            """Execute one handoff's blocks in the coordinator process.
+        def handoff_msg(hid: int) -> HandoffMsg:
+            """One handoff's message, writing into a fresh C arena.
+
+            Fresh on every call: a handoff redone after a helper failure
+            must not inherit the helper's arena, which may hold partial
+            tiles.
+            """
+            h = pending_handoffs[hid]
+            cap = sum(blk.c_bytes for _, _, blk in h["blocks"])
+            h["arena"] = TileArena.allocate(f"h{hid}", cap)
+            arenas.append(h["arena"])
+            return HandoffMsg(
+                handoff_id=hid,
+                origin=h["origin"],
+                blocks=h["blocks"],
+                a_meta=a_meta,
+                b_spec=b_spec,
+                c_meta=h["arena"].meta(),
+                gpu_memory_bytes=plan.gpu_memory_bytes,
+                b_csr=plan.b_shape.csr,
+                tau=plan.options.screen_threshold,
+                alpha=alpha,
+                store_dir=store_dir,
+                store_budget=store_budget_bytes,
+                b_hash=b_hash,
+                ckpt_dir=checkpoint_dir,
+                run_hash=run_hash,
+            )
+
+        def absorb_handoff(hid: int, helper, c_index: dict, stats) -> None:
+            h = pending_handoffs.pop(hid)
+            handoff_results[hid] = (h["origin"], h["arena"], c_index, stats)
+            events.emit(
+                "handoff_done", handoff=hid, origin=h["origin"], helper=helper,
+                tasks=stats.ntasks,
+            )
+
+        def handoff_inline(hid: int) -> None:
+            """Run one handoff through the rank runtime in-process.
 
             The fallback producer: used when no helper rank is free, when
             the chosen helper dies or reports failure mid-handoff, or when
@@ -881,45 +867,8 @@ def execute_plan_distributed(
             is safe — duplicate journal/store records are bit-identical
             and only this inline result enters the reduction.
             """
-            h = pending_handoffs.pop(hid)
-            origin = h["origin"]
-            if b_arena is not None:
-                b_local = ArenaBSource(b_arena)
-            else:
-                b_local = BService(
-                    b.empty_clone(), budget_bytes=plan.gpu_memory_bytes,
-                    recorder=rec, store=coord_store, store_ns=f"b:{b_hash}",
-                )
-            on_block = None
-            journal = None
-            if checkpoint_dir is not None:
-                journal = WritebackJournal(
-                    checkpoint_dir, origin, suffix=f".h{hid}"
-                )
-                _, on_block, _ = checkpoint_hooks(
-                    coord_store, journal, run_hash, origin, {}, registry
-                )
-            try:
-                produced, stats = execute_handoff_blocks(
-                    h["blocks"],
-                    a.get_tile,
-                    b_local,
-                    origin=origin,
-                    gpu_memory_bytes=plan.gpu_memory_bytes,
-                    b_csr=plan.b_shape.csr,
-                    tau=plan.options.screen_threshold,
-                    alpha=alpha,
-                    on_block=on_block,
-                )
-            finally:
-                if journal is not None:
-                    journal.close()
-            stats.b_tiles_generated = b_local.generated_tiles()
-            handoff_results[hid] = (origin, dict(produced), stats)
-            events.emit(
-                "handoff_done", handoff=hid, origin=origin, helper=None,
-                tasks=stats.ntasks,
-            )
+            report = run_rank(handoff_msg(hid))
+            absorb_handoff(hid, None, report.c_index, report.stats)
 
         def dispatch_handoff(origin: int, positions: tuple) -> None:
             """Ship reclaimed blocks to a helper rank (or run them inline).
@@ -943,39 +892,15 @@ def execute_plan_distributed(
                 "handoff", handoff=hid, origin=origin, helper=helper,
                 blocks=len(blocks_payload), tasks=moved,
             )
-            if helper is None:
-                pending_handoffs[hid] = {
-                    "origin": origin, "helper": None,
-                    "blocks": blocks_payload, "arena": None,
-                    "started": time.monotonic(),
-                }
-                run_handoff_inline(hid)
-                return
-            cap = sum(blk.c_bytes for _, _, blk in blocks_payload)
-            arena = TileArena.allocate(f"h{hid}", cap)
-            arenas.append(arena)
             pending_handoffs[hid] = {
                 "origin": origin, "helper": helper,
-                "blocks": blocks_payload, "arena": arena,
+                "blocks": blocks_payload, "arena": None,
                 "started": time.monotonic(),
             }
-            coord.send(helper, HandoffMsg(
-                handoff_id=hid,
-                origin=origin,
-                blocks=blocks_payload,
-                a_meta=a_meta,
-                b_spec=b_spec,
-                c_meta=arena.meta(),
-                gpu_memory_bytes=plan.gpu_memory_bytes,
-                b_csr=plan.b_shape.csr,
-                tau=plan.options.screen_threshold,
-                alpha=alpha,
-                store_dir=store_dir,
-                store_budget=store_budget_bytes,
-                b_hash=b_hash,
-                ckpt_dir=checkpoint_dir,
-                run_hash=run_hash,
-            ))
+            if helper is None:
+                handoff_inline(hid)
+            else:
+                coord.send(helper, handoff_msg(hid))
 
         def patrol() -> None:
             """Dead-worker, stall, and straggler checks between messages."""
@@ -1043,7 +968,7 @@ def execute_plan_distributed(
                         helper=helper,
                         reason="helper died" if helper_dead else "timeout",
                     )
-                    run_handoff_inline(hid)
+                    handoff_inline(hid)
 
         def snapshot(state: str) -> None:
             """Atomically refresh ``coordinator.json`` with live progress."""
@@ -1188,16 +1113,9 @@ def execute_plan_distributed(
                         "handoff_failed", handoff=hid, origin=h["origin"],
                         helper=rank, reason="helper error",
                     )
-                    run_handoff_inline(hid)
+                    handoff_inline(hid)
                 else:
-                    pending_handoffs.pop(hid)
-                    handoff_results[hid] = (
-                        h["origin"], ("arena", h["arena"], msg[3]), msg[4]
-                    )
-                    events.emit(
-                        "handoff_done", handoff=hid, origin=h["origin"],
-                        helper=rank, tasks=msg[4].ntasks,
-                    )
+                    absorb_handoff(hid, rank, msg[3], msg[4])
             else:  # pragma: no cover - unknown message kind
                 raise DistExecutionError(f"unexpected message {kind!r} from rank {rank}")
         drain_telemetry()  # beats raced against the final reports
@@ -1213,58 +1131,42 @@ def execute_plan_distributed(
             for (i, j), tile in c.items():
                 out.set_tile(i, j, beta * tile)
 
-        produced_by: dict[tuple[int, int], object] = {}
+        # Every producer is an (arena, C index) pair: a rank (worker or
+        # inline spare) or a handoff.  Handoffs reduce exactly like ranks:
+        # blocks within one process hold disjoint column sets, so a stolen
+        # block's tiles can collide neither with the origin's remaining
+        # blocks nor with any other rank — the one-producer check enforces
+        # it (M407).
+        producers = [
+            (f"rank {rank}", c_arenas[rank], reports[rank].c_index)
+            for rank in range(nranks)
+        ] + [
+            (f"handoff {hid} of rank {origin}", arena, c_index)
+            for hid, (origin, arena, c_index, _) in sorted(handoff_results.items())
+        ]
+        produced_by: dict[tuple[int, int], str] = {}
         t_reduce = clock()
-        for rank in range(nranks):
-            report = reports[rank]
-            if rank in local_results:
-                tiles = local_results[rank].items()
-            else:
-                arena = c_arenas[rank]
-                tiles = (
-                    ((i, j), arena.read(entry))
-                    for (i, j), entry in report.c_index.items()
-                )
-            for (i, j), tile in tiles:
-                prev = produced_by.setdefault((i, j), rank)
+        for producer, arena, c_index in producers:
+            for (i, j), entry in c_index.items():
+                prev = produced_by.setdefault((i, j), producer)
                 require(
-                    prev == rank,
-                    f"C tile ({i},{j}) produced by two processes ({prev}, {rank})",
-                )
-                out.accumulate_tile(i, j, tile)
-        # Handoff producers reduce exactly like ranks: blocks within one
-        # process hold disjoint column sets, so a stolen block's tiles can
-        # collide neither with the origin's remaining blocks nor with any
-        # other rank — the one-producer check enforces it (M407).
-        for hid in sorted(handoff_results):
-            origin, payload, _ = handoff_results[hid]
-            if isinstance(payload, dict):
-                tiles = payload.items()
-            else:
-                _, arena, c_index = payload
-                tiles = (
-                    ((i, j), arena.read(entry))
-                    for (i, j), entry in c_index.items()
-                )
-            for (i, j), tile in tiles:
-                prev = produced_by.setdefault((i, j), ("handoff", hid))
-                require(
-                    prev == ("handoff", hid),
+                    prev == producer,
                     f"C tile ({i},{j}) produced by two processes "
-                    f"({prev}, handoff {hid} of rank {origin})",
+                    f"({prev}, {producer})",
                 )
-                out.accumulate_tile(i, j, tile)
+                out.accumulate_tile(i, j, arena.read(entry))
         rec.record("reduce", "net.-1", t_reduce, clock())
 
         # ---- merge stats / trace / comm / metrics -------------------------
         stats = NumericStats.merge(
             [reports[rank].stats for rank in range(nranks)]
-            + [s for _, _, s in handoff_results.values()]
+            + [s for *_, s in handoff_results.values()]
         )
         run_trace = Trace()
         run_trace.extend(rec.spans)
         spans_dropped = rec.dropped
         span_counters: dict[str, float] = dict(rec.counters)
+        counters: Counter = Counter()
         for rank in range(nranks):
             stream = reports[rank].spans
             if stream is not None:
@@ -1292,6 +1194,7 @@ def execute_plan_distributed(
                             f"report.{rank}", f"net.{rank}", last, t_report
                         )
             comm_stats.absorb(reports[rank].link_bytes)
+            counters.update(reports[rank].counters)
         comm_stats.absorb(coord.link_bytes, coord.messages)
         registry.counter(
             "repro_spans_dropped_total",
@@ -1324,8 +1227,6 @@ def execute_plan_distributed(
             ),
             nworkers=nranks,
             started_at=rec.wall_origin,
-            b_hits=sum(reports[r].b_hits for r in range(nranks)),
-            b_evictions=sum(reports[r].b_lru_evictions for r in range(nranks)),
             spans_dropped=spans_dropped,
             shm_bytes=sum(arena.used_bytes for arena in arenas),
             metrics=merged_metrics,
@@ -1335,18 +1236,13 @@ def execute_plan_distributed(
             checkpoint_dir=checkpoint_dir,
             run_hash=run_hash,
             plan_hash=plan_hash,
-            blocks_restored=sum(reports[r].blocks_restored for r in range(nranks)),
-            tasks_skipped=sum(reports[r].tasks_skipped for r in range(nranks)),
-            store_hits=sum(reports[r].store_hits for r in range(nranks)),
-            store_misses=sum(reports[r].store_misses for r in range(nranks)),
-            store_puts=sum(reports[r].store_puts for r in range(nranks)),
-            b_store_hits=sum(reports[r].b_store_hits for r in range(nranks)),
             handoffs=len(handoff_results),
             blocks_rebalanced=sum(len(s) for s in stolen_blocks.values()),
             tasks_rebalanced=sum(stolen_tasks(r) for r in stolen_blocks),
             model=perf_model,
             span_counters=span_counters,
             run_id=run_id,
+            **counters,
         )
         events.emit(
             "done",

@@ -31,6 +31,7 @@ leave orphan workers behind.
 from __future__ import annotations
 
 import multiprocessing as mp
+from multiprocessing import resource_tracker
 
 from repro.dist.comm import COORDINATOR, CommLayer
 from repro.dist.worker import worker_main
@@ -99,6 +100,12 @@ class WorkerPool:
             args=(rank, self.comm.endpoint(rank), cache, True),
             daemon=True,
         )
+        # Workers inherit the parent's resource tracker only if it is
+        # already running.  A pool starts before any segment exists, so
+        # without this each worker would start a tracker of its own, and
+        # on shutdown those trackers would try to unlink the coordinator's
+        # segments.
+        resource_tracker.ensure_running()
         proc.start()
         self._workers[rank] = proc
         self.spawns += 1

@@ -127,10 +127,16 @@ class TileArena:
     def attach(cls, meta: ArenaMeta) -> "TileArena":
         """Map an existing segment (worker side)."""
         # Note on the resource tracker: attaching re-registers the name
-        # (bpo-38119), but workers share the coordinator's tracker process
-        # and its cache is a set, so the re-registration is a no-op and the
-        # coordinator's unlink deregisters exactly once.  Unregistering here
-        # would instead race the coordinator and double-remove.
+        # (bpo-38119).  A worker shares the coordinator's tracker process
+        # only if that tracker was already running when the worker started
+        # (the coordinator creates a segment before spawning, and
+        # :class:`~repro.dist.pool.WorkerPool` starts the tracker
+        # explicitly); the tracker's cache is a set, so the
+        # re-registration is a no-op and the coordinator's unlink
+        # deregisters exactly once.  A worker started without one runs
+        # its own tracker, which unlinks every name it saw when the worker
+        # exits.  Unregistering here would race the coordinator and
+        # double-remove.
         shm = None
         try:
             shm = shared_memory.SharedMemory(name=meta.name)

@@ -1,16 +1,20 @@
-"""The per-rank worker process of the distributed executor.
+"""The per-rank worker process and the one rank runtime behind it.
 
 Each worker is one planned process rank.  Life of a worker: receive a
-:class:`ScatterMsg` from the coordinator, attach the shared-memory arenas,
-execute its :class:`~repro.core.plan.ProcPlan` through the *same*
-:func:`repro.runtime.numeric.execute_proc_plan` body the serial executor
-uses (hence bit-identical numerics), write its C tiles into its output
-arena, and send a :class:`WorkerReport` back.  The process then stays in
-its dispatch loop: a finished rank is the rebalancer's favourite helper,
-ready to accept a :class:`~repro.dist.comm.HandoffMsg` of blocks
-reclaimed from a straggler (executed through the same
-:func:`~repro.runtime.numeric.execute_block` body, so handoff tiles are
-bit-identical to the tiles the origin would have produced).
+:class:`ScatterMsg` from the coordinator and hand it to :func:`run_rank`,
+the *one* rank runtime: it attaches the shared-memory arenas, builds the
+B source, tile store and writeback journal, executes the rank's blocks
+through the *same* :func:`repro.runtime.numeric.execute_blocks` loop the
+serial executor uses (hence bit-identical numerics), writes its C tiles
+into its output arena, and returns the :class:`WorkerReport` the worker
+sends back.  The process then stays in its dispatch loop: a finished
+rank is the rebalancer's favourite helper, ready to accept a
+:class:`~repro.dist.comm.HandoffMsg` of blocks reclaimed from a
+straggler — run by the same :func:`run_rank` under the origin's rank, so
+handoff tiles are bit-identical to the tiles the origin would have
+produced.  The coordinator's inline spare (a twice-failed rank, or a
+handoff no helper could finish) is that runtime called in-process with no
+endpoint; where a block runs never changes what it produces.
 
 Rebalancing yield points: between blocks the worker polls its inbox; a
 coordinator :class:`~repro.dist.comm.RelinquishMsg` makes it give up its
@@ -59,6 +63,7 @@ import time
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,14 +81,8 @@ from repro.dist.comm import (
 from repro.dist.faults import FaultInjection
 from repro.dist.health import HeartbeatMsg
 from repro.dist.tile_store import ArenaMeta, TileArena
-from repro.runtime.gpu_memory import GpuMemory
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
-from repro.runtime.numeric import (
-    NumericStats,
-    block_cols_of_k,
-    execute_block,
-    execute_proc_plan,
-)
+from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
 from repro.runtime.tracing import SpanRecorder, SpanStream
 from repro.store import (
     CompletedBlock,
@@ -116,7 +115,7 @@ class ScatterMsg:
     alpha: float
     a_meta: ArenaMeta
     b_spec: tuple
-    c_meta: ArenaMeta | None
+    c_meta: ArenaMeta
     fault: FaultInjection | None
     attempt: int
     trace: bool = True
@@ -157,19 +156,15 @@ class WorkerReport:
     spans: SpanStream | None = None
     link_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
     b_max_instantiations: int = 0
-    b_hits: int = 0
-    b_lru_evictions: int = 0
     metrics: MetricsSnapshot | None = None
-    store_hits: int = 0
-    store_misses: int = 0
-    store_puts: int = 0
-    #: B tiles the rank's B service read from *any* store tier (warm
-    #: in-process cache or persistent disk store) instead of generating.
-    #: This is the warm-reuse signal a serving pool's second job shows
-    #: even when no disk store is configured.
-    b_store_hits: int = 0
-    blocks_restored: int = 0
-    tasks_skipped: int = 0
+    #: Additive counters, each keyed by the
+    #: :class:`~repro.dist.coordinator.DistReport` field it sums into:
+    #: B-service ``b_hits`` / ``b_evictions``; ``b_store_hits``, the B
+    #: tiles read from *any* store tier (warm in-process cache or disk)
+    #: instead of generated — the warm-reuse signal of a serving pool's
+    #: second job; tile-store ``store_hits`` / ``store_misses`` /
+    #: ``store_puts``; checkpoint ``blocks_restored`` / ``tasks_skipped``.
+    counters: dict[str, int] = field(default_factory=dict)
 
 
 def modeled_a_link_bytes(
@@ -199,10 +194,10 @@ def checkpoint_hooks(
 ):
     """Build the ``(restore_block, on_block, counters)`` checkpoint closures.
 
-    Shared by the worker and the coordinator's inline-reassignment path so
-    both journal and restore identically.  ``completed`` maps ``(gpu,
-    block)`` to the journaled C-tile keys the coordinator already
-    validated against the store.
+    Built once per job by :func:`run_rank`, so every producer — worker,
+    helper and inline spare — journals and restores identically.
+    ``completed`` maps ``(gpu, block)`` to the journaled C-tile keys the
+    coordinator already validated against the store.
 
     Crash-consistency ordering lives in ``on_block``: every C tile is
     durably in the store *before* the journal line is appended, so a kill
@@ -326,27 +321,18 @@ class _HeartbeatThread:
         self._thread.join(timeout=1.0)
 
 
-def _prefetching_fetcher(a_arena: TileArena, rec: SpanRecorder, rank: int):
-    """A ``chunk_fetcher`` that double-buffers A chunks via a thread per block.
-
-    With the recorder enabled, the producer thread records each chunk's
-    copy-out as a ``prefetch`` span on the GPU's link resource, and the
-    consumer records the time it blocked on the hand-off queue as a
-    ``qwait`` span — the executor's measurable analogue of a starved H2D
-    pipeline.  Disabled, neither side reads a clock.
-    """
-
-    return _instrumented_fetcher(a_arena, rec, rank, MetricsRegistry(enabled=False))
-
-
 def _instrumented_fetcher(a_arena: TileArena, rec: SpanRecorder, rank: int,
                           registry: MetricsRegistry):
-    """The prefetching fetcher plus live-metric observation.
+    """A ``chunk_fetcher`` that double-buffers A chunks via a thread per block.
 
-    Prefetch copy-out and hand-off wait durations feed both the span
-    recorder (post-mortem trace) and, when metrics are on, the
+    The producer thread copies each chunk's A tiles out of the arena while
+    the consumer runs the previous chunk's GEMMs.  Copy-out durations
+    (``prefetch`` spans on the GPU's link resource) and the time the
+    consumer blocked on the hand-off queue (``qwait`` spans — the
+    executor's measurable analogue of a starved H2D pipeline) feed both
+    the span recorder and, when metrics are on, the
     ``repro_prefetch_seconds`` / ``repro_prefetch_qwait_seconds``
-    histograms (live telemetry).  With both disabled no clock is read.
+    histograms.  With both disabled no clock is read.
     """
     observe = registry.enabled
     prefetch_hist = registry.histogram(
@@ -409,35 +395,65 @@ def _b_store(tile_cache, store, b_hash: str):
     return TieredBStore(tile_cache, store)
 
 
+#: The scatter-only settings a :class:`~repro.dist.comm.HandoffMsg` runs
+#: with: the origin's blocks, untraced and unmetered, never faulted, with
+#: nothing to restore, skip or relinquish.
+_HANDOFF_SETTINGS = SimpleNamespace(
+    attempt=-1, trace=False, max_spans=0, metrics=False,
+    heartbeat_interval=0.0, fault=None, completed=(), excluded=(),
+    rebalance=False,
+)
+
+
 def run_rank(
-    msg: ScatterMsg,
+    msg: ScatterMsg | HandoffMsg,
     *,
     origin: float | None = None,
     recv_done: float | None = None,
     endpoint: Endpoint | None = None,
     tile_cache=None,
 ) -> WorkerReport:
-    """Execute one scattered rank; returns the report (arena already written).
+    """The rank runtime: execute one scatter or handoff into its C arena.
+
+    Every producer of C tiles runs through here — a worker's scattered
+    rank, a helper's :class:`~repro.dist.comm.HandoffMsg`, and (called
+    in-process with no endpoint) the coordinator's inline spare and inline
+    handoff fallback.  One setup path builds the B source, attaches the
+    A/B/C arenas, opens the tile store and writeback journal with their
+    :func:`checkpoint_hooks`, runs the blocks through
+    :func:`~repro.runtime.numeric.execute_blocks`, writes the C tiles into
+    the message's arena, and closes everything in one ``finally``.
+
+    A handoff runs the origin's blocks under the *origin's* rank, so its
+    store keys, journal records and stats are exactly the ones the origin
+    would have produced; it journals into a ``.h<id>`` sidecar, which is
+    what lets a resumed run replay the ownership transfer transparently.
 
     ``origin``/``recv_done`` are monotonic instants bracketing the inbox
     wait in :func:`worker_main`; the recorder's clock is rooted at
     ``origin`` so the wait appears as the rank's first span.  ``endpoint``
-    carries heartbeats out on the telemetry channel; without one (or with
-    ``msg.heartbeat_interval <= 0``) the rank runs silently as before.
+    carries heartbeats, block-done reports and relinquish acks; without
+    one (or with ``msg.heartbeat_interval <= 0``) the rank runs silently.
     ``tile_cache`` is a serving pool's process-lifetime warm B-tile cache
     (see :func:`_b_store`); ``None`` reproduces the one-shot behaviour.
     """
-    rank = msg.proc.rank
-    rec = SpanRecorder(enabled=msg.trace, max_spans=msg.max_spans, origin=origin)
-    if msg.trace and origin is not None and recv_done is not None:
+    if isinstance(msg, HandoffMsg):
+        rank, job = msg.origin, _HANDOFF_SETTINGS
+        blocks, journal_suffix = msg.blocks, f".h{msg.handoff_id}"
+    else:
+        rank, job = msg.proc.rank, msg
+        blocks, journal_suffix = proc_blocks(msg.proc, msg.gpus_per_proc), ""
+    rec = SpanRecorder(enabled=job.trace, max_spans=job.max_spans, origin=origin)
+    if job.trace and origin is not None and recv_done is not None:
         rec.record("inbox.wait", f"net.{rank}", 0.0, recv_done - origin)
-    registry = MetricsRegistry(enabled=msg.metrics)
+    registry = MetricsRegistry(enabled=job.metrics)
     progress = _Progress()
 
     hb: _HeartbeatThread | None = None
-    if endpoint is not None and msg.heartbeat_interval > 0.0:
+    telemetry_on = endpoint is not None and job.heartbeat_interval > 0.0
+    if telemetry_on:
         hb = _HeartbeatThread(
-            endpoint, rank, msg.attempt, msg.heartbeat_interval,
+            endpoint, rank, job.attempt, job.heartbeat_interval,
             progress, registry, rec,
         )
         hb.start()
@@ -445,7 +461,7 @@ def run_rank(
     store: TileStore | None = None
     journal: WritebackJournal | None = None
     restore_block = on_block = None
-    ckpt_counters = {"blocks_restored": 0, "tasks_skipped": 0}
+    counters: dict[str, int] = {}
     attached: list[TileArena] = []
     try:
         if msg.store_dir is not None or msg.ckpt_dir is not None:
@@ -454,10 +470,10 @@ def run_rank(
                 root, budget_bytes=msg.store_budget, metrics=registry
             )
         if msg.ckpt_dir is not None:
-            journal = WritebackJournal(msg.ckpt_dir, rank)
-            restore_block, on_block, ckpt_counters = checkpoint_hooks(
+            journal = WritebackJournal(msg.ckpt_dir, rank, suffix=journal_suffix)
+            restore_block, on_block, counters = checkpoint_hooks(
                 store, journal, msg.run_hash, rank,
-                {(g, bi): tiles for g, bi, tiles in msg.completed},
+                {(g, bi): tiles for g, bi, tiles in job.completed},
                 registry,
             )
 
@@ -478,14 +494,13 @@ def run_rank(
                     store_ns=f"b:{msg.b_hash}",
                 )
 
-            c_arena = TileArena.attach(msg.c_meta) if msg.c_meta is not None else None
-            if c_arena is not None:
-                attached.append(c_arena)
+            c_arena = TileArena.attach(msg.c_meta)
+            attached.append(c_arena)
         registry.gauge(
             "repro_shm_attached_bytes", "shared-memory bytes attached", agg="sum"
         ).set(sum(arena.size for arena in attached))
 
-        fault = msg.fault
+        fault = job.fault
         tasks_counter = registry.counter(
             "repro_gemm_tasks_total", "GEMM tasks executed"
         )
@@ -534,17 +549,13 @@ def run_rank(
         # the coordinator's exclusions from earlier attempts, plus any
         # positions relinquished mid-run.  ``skip_block`` doubles as the
         # inbox poll at every block boundary.
-        skipped: set[tuple[int, int]] = set(msg.excluded)
+        skipped: set[tuple[int, int]] = set(job.excluded)
         skip_block = None
-        telemetry_on = endpoint is not None and msg.heartbeat_interval > 0.0
-        if skipped or (msg.rebalance and endpoint is not None):
-            positions = [
-                (g, bi)
-                for g in range(msg.gpus_per_proc)
-                for bi in range(len(msg.proc.gpu_blocks(g)))
-            ]
+        poll = job.rebalance and endpoint is not None
+        if skipped or poll:
+            positions = [(g, bi) for g, bi, _ in blocks]
             pos_index = {p: n for n, p in enumerate(positions)}
-            restored_positions = {(g, bi) for g, bi, _ in msg.completed}
+            restored_positions = {(g, bi) for g, bi, _ in job.completed}
 
             def skip_block(g: int, bi: int, block) -> bool:
                 """Poll the inbox at a block boundary; honour relinquishes.
@@ -559,7 +570,7 @@ def run_rank(
                     recv relinquish: coordinator -> worker [data]
                     send relinquished: worker -> coordinator [data]
                 """
-                if msg.rebalance and endpoint is not None:
+                if poll:
                     while True:
                         try:
                             _, req, _ = endpoint.recv_nowait()
@@ -567,7 +578,7 @@ def run_rank(
                             break
                         if not isinstance(req, RelinquishMsg):
                             continue  # foreign message; not ours mid-run
-                        if req.attempt != msg.attempt:
+                        if req.attempt != job.attempt:
                             endpoint.send(
                                 COORDINATOR,
                                 ("relinquished", rank, req.attempt, ()),
@@ -582,7 +593,7 @@ def run_rank(
                         skipped.update(remaining)
                         endpoint.send(
                             COORDINATOR,
-                            ("relinquished", rank, msg.attempt, remaining),
+                            ("relinquished", rank, job.attempt, remaining),
                         )
                 return (g, bi) in skipped
 
@@ -599,17 +610,17 @@ def run_rank(
                     ckpt_on_block(g, bi, block, c_dev)
                 try:
                     endpoint.send_telemetry(BlockDoneMsg(
-                        rank=rank, attempt=msg.attempt, gpu=g, block=bi,
+                        rank=rank, attempt=job.attempt, gpu=g, block=bi,
                         ntasks=block.ntasks,
                     ))
                 except Exception:  # pragma: no cover - fabric torn down
                     pass
 
-        produced, stats = execute_proc_plan(
-            msg.proc,
+        produced, stats = execute_blocks(
+            rank,
+            blocks,
             lambda i, k: a_arena.get((i, k)),
             b_source,
-            gpus_per_proc=msg.gpus_per_proc,
             gpu_memory_bytes=msg.gpu_memory_bytes,
             b_csr=msg.b_csr,
             tau=msg.tau,
@@ -643,157 +654,35 @@ def run_rank(
                 "trace spans discarded at the recorder bound",
             ).inc(rec.dropped)
 
-        store_stats = store.stats() if store is not None else None
+        counters.update(
+            b_hits=b_source.hits,
+            b_evictions=b_source.lru_evictions,
+            b_store_hits=getattr(b_source, "store_hits", 0),
+        )
+        if store is not None:
+            store_stats = store.stats()
+            counters.update(
+                store_hits=store_stats.hits,
+                store_misses=store_stats.misses,
+                store_puts=store_stats.puts,
+            )
         return WorkerReport(
             rank=rank,
-            attempt=msg.attempt,
+            attempt=job.attempt,
             stats=stats,
             c_index=c_index,
             spans=rec.stream() if rec.enabled else None,
-            link_bytes=modeled_a_link_bytes(msg.proc, msg.grid, msg.a_meta),
+            link_bytes=(
+                modeled_a_link_bytes(msg.proc, msg.grid, msg.a_meta)
+                if isinstance(msg, ScatterMsg) else {}
+            ),
             b_max_instantiations=b_source.max_instantiations(),
-            b_hits=b_source.hits,
-            b_lru_evictions=b_source.lru_evictions,
             metrics=registry.snapshot() if registry.enabled else None,
-            store_hits=store_stats.hits if store_stats else 0,
-            store_misses=store_stats.misses if store_stats else 0,
-            store_puts=store_stats.puts if store_stats else 0,
-            b_store_hits=getattr(b_source, "store_hits", 0),
-            blocks_restored=ckpt_counters["blocks_restored"],
-            tasks_skipped=ckpt_counters["tasks_skipped"],
+            counters=counters,
         )
     finally:
         if hb is not None:
             hb.suspend()
-        if journal is not None:
-            journal.close()
-        if store is not None:
-            store.close()
-        for arena in attached:
-            arena.close()
-
-
-def execute_handoff_blocks(
-    blocks,
-    a_get_tile,
-    b_source,
-    *,
-    origin: int,
-    gpu_memory_bytes: int,
-    b_csr,
-    tau: float | None,
-    alpha: float,
-    on_block=None,
-):
-    """Execute blocks reclaimed from rank ``origin``; returns ``(C, stats)``.
-
-    The single body behind both handoff paths — a finished worker rank
-    and the coordinator's inline spare — mirroring the per-block section
-    of :func:`~repro.runtime.numeric.execute_proc_plan` exactly (same
-    :func:`~repro.runtime.numeric.execute_block` call, same CSR column
-    order, same eviction and memory discipline), so a handed-off block's
-    C tiles are bit-identical to the tiles the origin would have written.
-
-    ``blocks`` are ``(gpu, position, Block)`` triples in the origin's
-    plan coordinates; ``on_block`` receives them unchanged, so handoff
-    journal records land under the origin's identity.  Stats (including
-    ``per_proc_tasks``) are attributed to the origin: the merged run
-    totals must match the serial oracle regardless of who computed what.
-    """
-    stats = NumericStats()
-    produced: dict[tuple[int, int], np.ndarray] = {}
-    for g, bi, block in blocks:
-        mem = GpuMemory(gpu_memory_bytes)
-        block_name = f"block{bi}"
-        mem.reserve(block_name, block.b_bytes + block.c_bytes)
-        stats.h2d_bytes += block.b_bytes
-        cols_of_k = block_cols_of_k(block, b_csr)
-        c_dev = execute_block(
-            block,
-            block_name,
-            rank=origin,
-            a_get_tile=a_get_tile,
-            b=b_source,
-            cols_of_k=cols_of_k,
-            mem=mem,
-            stats=stats,
-            tau=tau,
-            alpha=alpha,
-        )
-        for (i, j), tile in c_dev.items():
-            produced[(i, j)] = tile
-            stats.d2h_bytes += tile.nbytes
-        if on_block is not None:
-            on_block(g, bi, block, c_dev)
-        if hasattr(b_source, "evict"):
-            for k, js in cols_of_k.items():
-                for j in js:
-                    b_source.evict(origin, k, j)
-        mem.release(block_name)
-        stats.gpu_peak_bytes = max(stats.gpu_peak_bytes, mem.peak)
-    stats.per_proc_tasks[origin] = stats.ntasks
-    return produced, stats
-
-
-def run_handoff(msg, tile_cache=None) -> tuple[dict, NumericStats]:
-    """Execute one :class:`~repro.dist.comm.HandoffMsg` on a helper rank.
-
-    Attaches the shared A arena and the handoff's dedicated C arena,
-    rebuilds the B source the origin would have used, and (when the run
-    checkpoints) journals each completed block under the *origin's* rank
-    into a ``.h<id>`` sidecar journal — store keys and record contents
-    identical to what the origin itself would have written, which is what
-    lets a resumed run replay the ownership transfer transparently.
-    """
-    registry = MetricsRegistry(enabled=False)
-    store = None
-    journal = None
-    attached: list[TileArena] = []
-    try:
-        if msg.store_dir is not None or msg.ckpt_dir is not None:
-            root = msg.store_dir or os.path.join(msg.ckpt_dir, "store")
-            store = TileStore(root, budget_bytes=msg.store_budget,
-                              metrics=registry)
-        on_block = None
-        if msg.ckpt_dir is not None:
-            journal = WritebackJournal(
-                msg.ckpt_dir, msg.origin, suffix=f".h{msg.handoff_id}"
-            )
-            _, on_block, _ = checkpoint_hooks(
-                store, journal, msg.run_hash, msg.origin, {}, registry
-            )
-
-        a_arena = TileArena.attach(msg.a_meta)
-        attached.append(a_arena)
-        kind, payload = msg.b_spec
-        if kind == "arena":
-            b_arena = TileArena.attach(payload)
-            attached.append(b_arena)
-            b_source = ArenaBSource(b_arena, metrics=registry)
-        else:
-            b_source = BService(
-                payload, budget_bytes=msg.gpu_memory_bytes, metrics=registry,
-                store=_b_store(tile_cache, store, msg.b_hash),
-                store_ns=f"b:{msg.b_hash}",
-            )
-        c_arena = TileArena.attach(msg.c_meta)
-        attached.append(c_arena)
-
-        produced, stats = execute_handoff_blocks(
-            msg.blocks,
-            lambda i, k: a_arena.get((i, k)),
-            b_source,
-            origin=msg.origin,
-            gpu_memory_bytes=msg.gpu_memory_bytes,
-            b_csr=msg.b_csr,
-            tau=msg.tau,
-            alpha=msg.alpha,
-            on_block=on_block,
-        )
-        stats.b_tiles_generated = b_source.generated_tiles()
-        c_index = {key: c_arena.put(key, tile) for key, tile in produced.items()}
-        return c_index, stats
-    finally:
         if journal is not None:
             journal.close()
         if store is not None:
@@ -864,7 +753,7 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
                 )
             elif isinstance(msg, HandoffMsg):
                 try:
-                    c_index, stats = run_handoff(msg, tile_cache=tile_cache)
+                    report = run_rank(msg, tile_cache=tile_cache)
                 except Exception:  # noqa: BLE001 - helper failure is recoverable
                     endpoint.send(
                         COORDINATOR,
@@ -873,7 +762,8 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
                 else:
                     endpoint.send(
                         COORDINATOR,
-                        ("handoff_done", rank, msg.handoff_id, c_index, stats),
+                        ("handoff_done", rank, msg.handoff_id,
+                         report.c_index, report.stats),
                     )
             else:
                 return  # unknown directive (incl. the serve pool's shutdown pill): exit quietly

@@ -13,10 +13,11 @@ performance model alone cannot:
    exceed the other 50 %, B tiles are instantiated at most once per
    process, and every C tile is produced by exactly one process.
 
-The per-process body (:func:`execute_proc_plan`) is shared with the real
-multi-process executor in :mod:`repro.dist`: both walk blocks, chunks and
-GEMMs in the identical order with identical floating-point operations, so
-the distributed result is bit-for-bit the serial result and this executor
+The block loop (:func:`execute_blocks`, which :func:`execute_proc_plan`
+runs over one rank's blocks) is shared with the real multi-process
+executor in :mod:`repro.dist`: both walk blocks, chunks and GEMMs in the
+identical order with identical floating-point operations, so the
+distributed result is bit-for-bit the serial result and this executor
 doubles as the distributed executor's crosscheck oracle.
 """
 
@@ -181,10 +182,64 @@ def execute_proc_plan(
     """Execute everything one process rank does; returns ``(C tiles, stats)``.
 
     This is the unit of work a distributed worker runs for its rank, and the
-    loop body the serial :func:`execute_plan` runs once per rank.  B tiles
-    are evicted at the end of each block's life-cycle (``b.evict``), C tiles
-    are counted as written back (d2h) once per block, exactly as PaRSEC's
-    control DAG forces on the real machine.
+    loop body the serial :func:`execute_plan` runs once per rank: every
+    block of every GPU, in plan order, through :func:`execute_blocks`.
+    """
+    return execute_blocks(
+        proc.rank,
+        proc_blocks(proc, gpus_per_proc),
+        a_get_tile,
+        b,
+        gpu_memory_bytes=gpu_memory_bytes,
+        b_csr=b_csr,
+        tau=tau,
+        alpha=alpha,
+        chunk_fetcher=chunk_fetcher,
+        on_task=on_task,
+        on_event=on_event,
+        clock=clock,
+        restore_block=restore_block,
+        on_block=on_block,
+        skip_block=skip_block,
+    )
+
+
+def proc_blocks(proc: ProcPlan, gpus_per_proc: int) -> list[tuple[int, int, Block]]:
+    """A rank's ``(gpu, position, Block)`` triples in execution order."""
+    return [
+        (g, bi, block)
+        for g in range(gpus_per_proc)
+        for bi, block in enumerate(proc.gpu_blocks(g))
+    ]
+
+
+def execute_blocks(
+    rank: int,
+    blocks: Iterable[tuple[int, int, Block]],
+    a_get_tile: Callable[[int, int], np.ndarray],
+    b: TileSource,
+    *,
+    gpu_memory_bytes: int,
+    b_csr,
+    tau: float | None,
+    alpha: float = 1.0,
+    chunk_fetcher: Callable[[int, int, Block], Callable] | None = None,
+    on_task: Callable[[], None] | None = None,
+    on_event: Callable[[str, str, float, float], None] | None = None,
+    clock: Callable[[], float] | None = None,
+    restore_block: Callable[[int, int, Block], dict | None] | None = None,
+    on_block: Callable[[int, int, Block, dict], None] | None = None,
+    skip_block: Callable[[int, int, Block], bool] | None = None,
+) -> tuple[dict[tuple[int, int], np.ndarray], NumericStats]:
+    """Execute ``(gpu, position, Block)`` triples as rank ``rank``.
+
+    The one block loop behind every producer of C tiles: a whole rank
+    (:func:`execute_proc_plan`), and blocks handed off from a straggler,
+    which run under the *origin's* rank and plan positions so their tiles
+    and stats are exactly the ones the origin would have produced.  B
+    tiles are evicted at the end of each block's life-cycle (``b.evict``),
+    C tiles are counted as written back (d2h) once per block, exactly as
+    PaRSEC's control DAG forces on the real machine.
 
     Checkpoint hooks: ``restore_block(g, bi, block)`` may return the
     block's finished ``{(i, j): tile}`` dict — the whole block is then
@@ -203,57 +258,58 @@ def execute_proc_plan(
     """
     stats = NumericStats()
     produced: dict[tuple[int, int], np.ndarray] = {}
-    for g in range(gpus_per_proc):
-        mem = GpuMemory(gpu_memory_bytes)
-        resource = f"gpu.{proc.rank}.{g}.comp"
-        for bi, block in enumerate(proc.gpu_blocks(g)):
-            block_name = f"block{bi}"
-            if skip_block is not None and skip_block(g, bi, block):
+    mems: dict[int, GpuMemory] = {}
+    for g, bi, block in blocks:
+        block_name = f"block{bi}"
+        if skip_block is not None and skip_block(g, bi, block):
+            continue
+        if restore_block is not None:
+            restored = restore_block(g, bi, block)
+            if restored is not None:
+                produced.update(restored)
                 continue
-            if restore_block is not None:
-                restored = restore_block(g, bi, block)
-                if restored is not None:
-                    produced.update(restored)
-                    continue
-            mem.reserve(block_name, block.b_bytes + block.c_bytes)
-            stats.h2d_bytes += block.b_bytes
-            cols_of_k = block_cols_of_k(block, b_csr)
-            fetch = chunk_fetcher(g, bi, block) if chunk_fetcher is not None else None
-            c_dev = execute_block(
-                block,
-                block_name,
-                rank=proc.rank,
-                a_get_tile=a_get_tile,
-                b=b,
-                cols_of_k=cols_of_k,
-                mem=mem,
-                stats=stats,
-                tau=tau,
-                alpha=alpha,
-                fetch_chunk=fetch,
-                on_task=on_task,
-                on_event=on_event,
-                resource=resource,
-                clock=clock,
-            )
+        mem = mems.get(g)
+        if mem is None:
+            mem = mems[g] = GpuMemory(gpu_memory_bytes)
+        mem.reserve(block_name, block.b_bytes + block.c_bytes)
+        stats.h2d_bytes += block.b_bytes
+        cols_of_k = block_cols_of_k(block, b_csr)
+        fetch = chunk_fetcher(g, bi, block) if chunk_fetcher is not None else None
+        c_dev = execute_block(
+            block,
+            block_name,
+            rank=rank,
+            a_get_tile=a_get_tile,
+            b=b,
+            cols_of_k=cols_of_k,
+            mem=mem,
+            stats=stats,
+            tau=tau,
+            alpha=alpha,
+            fetch_chunk=fetch,
+            on_task=on_task,
+            on_event=on_event,
+            resource=f"gpu.{rank}.{g}.comp",
+            clock=clock,
+        )
 
-            # Writeback: C tiles leave the device once per block.  Within a
-            # process, blocks hold disjoint column sets, so no key collides.
-            for (i, j), tile in c_dev.items():
-                produced[(i, j)] = tile
-                stats.d2h_bytes += tile.nbytes
-            if on_block is not None:
-                on_block(g, bi, block, c_dev)
+        # Writeback: C tiles leave the device once per block.  Within a
+        # process, blocks hold disjoint column sets, so no key collides.
+        for (i, j), tile in c_dev.items():
+            produced[(i, j)] = tile
+            stats.d2h_bytes += tile.nbytes
+        if on_block is not None:
+            on_block(g, bi, block, c_dev)
 
-            # Evict the block's B tiles at end of life-cycle.
-            if hasattr(b, "evict"):
-                for k, js in cols_of_k.items():
-                    for j in js:
-                        b.evict(proc.rank, k, j)
+        # Evict the block's B tiles at end of life-cycle.
+        if hasattr(b, "evict"):
+            for k, js in cols_of_k.items():
+                for j in js:
+                    b.evict(rank, k, j)
 
-            mem.release(block_name)
-        stats.gpu_peak_bytes = max(stats.gpu_peak_bytes, mem.peak)
-    stats.per_proc_tasks[proc.rank] = stats.ntasks
+        mem.release(block_name)
+    stats.gpu_peak_bytes = max((mem.peak for mem in mems.values()), default=0)
+    stats.per_proc_tasks[rank] = stats.ntasks
     return produced, stats
 
 

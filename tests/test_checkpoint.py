@@ -19,7 +19,7 @@ from repro.dist import DistExecutionError, FaultPlan, active_segments
 from repro.machine import summit
 from repro.runtime import GeneratedCollection
 from repro.sparse import random_block_sparse
-from repro.store import read_store_stats
+from repro.store import read_journal, read_store_stats
 from repro.tiling import random_tiling
 
 
@@ -136,6 +136,39 @@ class TestKillResume:
                 a, b, summit(2), p=1, b_shape=b_shape,
                 checkpoint_dir=str(tmp_path),
             )
+        assert not active_segments()
+
+
+@pytest.mark.dist
+class TestInlineSpareCheckpoint:
+    def test_reassigned_rank_journals_and_resumes(self, tmp_path):
+        """A rank that fails every attempt runs on the coordinator's
+        inline spare, which journals its blocks like any worker; a second
+        invocation restores every block of every rank bit for bit."""
+        a, b, b_shape = operands(seed=7)
+        c_serial = serial_oracle(a, b, b_shape)
+        ckpt = str(tmp_path / "ckpt")
+        kwargs = dict(b_shape=b_shape, checkpoint_dir=ckpt)
+        c1, r1 = psgemm_distributed(
+            a, b, summit(2), p=2, fault_plan=FaultPlan.kill(1, 3, once=False),
+            **kwargs,
+        )
+        assert r1.reassigned == [1]
+        assert np.array_equal(c1.to_dense(), c_serial)
+        plan = inspect(a.sparse_shape(), b_shape, summit(2), p=2)
+        rank1 = next(pp for pp in plan.procs if pp.rank == 1)
+        journaled = {(c.gpu, c.block) for c in read_journal(ckpt, 1, r1.run_hash)}
+        assert journaled == {
+            (g, bi)
+            for g in range(plan.grid.gpus_per_proc)
+            for bi in range(len(rank1.gpu_blocks(g)))
+        }
+
+        c2, r2 = psgemm_distributed(a, b, summit(2), p=2, **kwargs)
+        assert np.array_equal(c2.to_dense(), c_serial)
+        assert r2.reassigned == []
+        assert r2.blocks_restored == sum(len(pp.blocks) for pp in plan.procs)
+        assert r2.tasks_skipped == sum(pp.ntasks for pp in plan.procs)
         assert not active_segments()
 
 

@@ -147,6 +147,45 @@ class TestRebalanceParity:
 
 
 @pytest.mark.dist
+class TestInlineHandoffFallback:
+    def test_failed_helper_handoff_is_redone_inline(self, tmp_path, monkeypatch):
+        """A helper whose handoff raises reports failure; the coordinator
+        redoes those blocks on its inline spare (``helper: null``) and the
+        result still equals the serial oracle bit for bit."""
+        import repro.dist.worker as worker
+
+        real_run_rank = worker.run_rank
+
+        def failing_handoffs(msg, **kwargs):
+            if isinstance(msg, worker.HandoffMsg):
+                raise RuntimeError("injected helper failure")
+            return real_run_rank(msg, **kwargs)
+
+        # Forked workers inherit the patch; the coordinator holds its own
+        # reference to the real runtime.
+        monkeypatch.setattr(worker, "run_rank", failing_handoffs)
+        a, b = operands(seed=6)
+        c_serial, s_serial = psgemm_numeric(a, b, summit(3), p=3)
+        events = str(tmp_path / "events.jsonl")
+        c_dist, rep = psgemm_distributed(
+            a, b, summit(3), p=3, fault_plan=slow_rank0(), events_path=events,
+            start_method="fork", **REBALANCE_KWARGS,
+        )
+        assert np.array_equal(c_dist.to_dense(), c_serial.to_dense())
+        assert rep.stats == s_serial
+        evs = read_events(events)
+        failed = [e for e in evs if e.get("event") == "handoff_failed"]
+        assert failed and all(e["reason"] == "helper error" for e in failed)
+        for f in failed:
+            done = [
+                e for e in evs[evs.index(f):]
+                if e.get("event") == "handoff_done"
+                and e["handoff"] == f["handoff"]
+            ]
+            assert done and done[0]["helper"] is None
+
+
+@pytest.mark.dist
 class TestCheckpointedHandoff:
     def test_sidecar_journal_written_and_resumed(self, tmp_path):
         """A checkpointed rebalanced run journals handed-off blocks into

@@ -13,6 +13,9 @@ runs via ``make test-dist``.
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -296,3 +299,56 @@ class TestContractionService:
         assert svc.status(jid) == "done"  # graceful shutdown drained it
         with pytest.raises(ValueError, match="shut down"):
             svc.submit(plan, a, b.empty_clone())
+
+
+# ---- resource lifecycle of a pool started before any segment exists -------
+
+#: A pool started before the first shared-memory segment (the service's
+#: order), three pooled jobs, then close; prints the process id that names
+#: its segments.
+POOL_PROBE = textwrap.dedent("""
+    import os
+    from repro.core import inspect
+    from repro.dist import WorkerPool, execute_plan_distributed
+    from repro.machine import summit
+    from repro.sparse import random_block_sparse
+    from repro.tiling import random_tiling
+
+    rows = random_tiling(120, 20, 40, seed=0)
+    inner = random_tiling(240, 20, 40, seed=1)
+    a = random_block_sparse(rows, inner, 0.5, seed=2)
+    b = random_block_sparse(inner, inner, 0.5, seed=3)
+    plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
+    pool = WorkerPool(plan.grid.nprocs)
+    pool.start()
+    for _ in range(3):
+        execute_plan_distributed(plan, a, b, pool=pool)
+    pool.close()
+    print(os.getpid())
+""")
+
+
+@pytest.mark.dist
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs POSIX shm")
+def test_pool_workers_share_the_parent_resource_tracker():
+    """Workers spawned before any segment exists must use the parent's
+    resource tracker.  With trackers of their own, closing the pool makes
+    each worker's tracker unlink the coordinator's (already unlinked)
+    segments, which shows as ``resource_tracker`` warnings on stderr."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE], capture_output=True, text=True,
+        timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+    pid = proc.stdout.split()[-1]
+    assert not [
+        n for n in os.listdir("/dev/shm") if n.startswith(f"psgemm-{pid}-")
+    ]
