@@ -309,7 +309,7 @@ class _Run:
                 steal)
 
     def _recover(self, state, rank: int, label: str):
-        """The coordinator's on_failure: retry once, then reassign."""
+        """The coordinator's recover_rank: retry once, then reassign."""
         (coord_state, workers, complete, inboxes, gather, telemetry,
          steal) = state
         w = workers[rank]
@@ -318,7 +318,7 @@ class _Run:
             # The failed attempt no longer owns its blocks: any
             # in-flight relinquish or ack is superseded and the new
             # attempt re-executes the full plan (the runtime pops
-            # outstanding_relinquish in on_failure the same way).
+            # outstanding_relinquish in recover_rank the same way).
             steal = ("superseded",) + steal[1:]
         if w[_W_ATT] + 1 <= self.model.max_retries:
             # Respawn + rescatter: a fresh attempt with persistent

@@ -164,12 +164,14 @@ def build_coordinator_machine() -> RoleMachine:
     """The coordinator: scatter, supervise, recover, drain, reduce.
 
     ``supervising`` is the gather loop of
-    :func:`repro.dist.coordinator.execute_plan_distributed`; the
-    ``obs:*`` events are its patrol — a dead worker's exit code, the
-    missed-heartbeat stall detector, the reserved abort exit code.  All
-    three failure signals funnel into the single ``recover_rank``
-    action (terminate, retry once, then reassign inline), exactly like
-    the code's ``on_failure``.  Once every rank is complete the
+    :func:`repro.dist.coordinator.execute_plan_distributed` (the run
+    object's ``supervise``, whose methods carry this machine's action
+    names); the ``obs:*`` events are its patrol — a dead worker's exit
+    code, the missed-heartbeat stall detector, the reserved abort exit
+    code.  All three failure signals funnel into the single
+    ``recover_rank`` action (terminate, retry once, then reassign
+    inline), exactly like the code's ``recover_rank``.  Once every rank
+    is complete the
     coordinator drains residual telemetry (``draining``) and terminates
     in ``done``; ``aborted`` and ``failed`` are the unrecoverable
     terminals.

@@ -7,47 +7,48 @@ the reduction applies the identical ``beta*C`` seeding and one-producer
 accumulation).  The serial executor is therefore the crosscheck oracle for
 this one.
 
-Responsibilities:
+Responsibilities — each a method of ``_Run``, the explicit state of one
+run, named after the actions of the protocol model's coordinator machine
+(:func:`repro.analysis.protocol.spec.build_coordinator_machine`):
 
-* **scatter** — pack A (and a concrete B) into shared-memory arenas, ship
-  each rank its :class:`~repro.dist.worker.ScatterMsg` through the
+* **scatter** (``scatter``) — pack A (and a concrete B) into
+  shared-memory arenas, ship each rank its
+  :class:`~repro.dist.worker.ScatterMsg` through the pool's
   :class:`~repro.dist.comm.CommLayer` (bytes counted per link);
-* **supervise** — gather reports; a worker that exits without reporting
+* **supervise** (``supervise``, ``complete_rank``, ``recover_rank``,
+  ``abort_run``) — gather reports; a worker that exits without reporting
   (crash, kill fault) or reports an error is *retried once* in a fresh
   process, and if that attempt also fails its blocks are *reassigned* to
   the coordinator's inline spare — the one rank runtime,
   :func:`~repro.dist.worker.run_rank`, called in-process on the very
   message a worker would have received — so a single faulty rank cannot
   lose the contraction;
-* **reduce** — seed ``beta*C``, copy every producer's C tiles (rank or
-  handoff, worker or inline spare: each one an arena plus a C index) out
-  of its output arena enforcing the one-producer-per-tile invariant, and
-  merge per-producer :class:`~repro.runtime.numeric.NumericStats` via
-  :meth:`NumericStats.merge`;
-* **observe** — merge every rank's monotonic
-  :class:`~repro.runtime.tracing.SpanStream` (clock origins aligned via
-  each recorder's single wall-clock sample) into one
-  :class:`~repro.runtime.tracing.Trace`, so ``to_chrome_trace()`` and
-  utilization queries work on real runs exactly as on simulated ones;
-* **monitor** — drain worker heartbeats off the comm layer's telemetry
-  channel into a live :class:`~repro.dist.health.RunHealth`: a rank
-  silent for ``stall_after_beats`` heartbeat intervals is declared
-  *stalled* and fed into the same recovery path a crashed worker takes
-  (terminate, retry once, then reassign), slow-but-beating ranks are
-  flagged as stragglers, and every life-cycle transition is appended to
-  the ``events_path`` JSONL log (the attach point for ``repro monitor``);
-* **rebalance** — with ``rebalance=True``, a flagged straggler is asked
-  to relinquish its unstarted blocks; the acked positions are handed off
-  to a finished worker rank (or the coordinator's inline spare) as a
+* **monitor** (``patrol``, ``fold_health``, ``fold_progress``,
+  ``snapshot``) — fold worker heartbeats off the telemetry channel into a
+  live :class:`~repro.dist.health.RunHealth`: a rank silent for
+  ``stall_after_beats`` heartbeat intervals is declared *stalled* and
+  recovered like a crashed one, slow-but-beating ranks are flagged as
+  stragglers, and every life-cycle transition is appended to the
+  ``events_path`` JSONL log (the attach point for ``repro monitor``);
+* **rebalance** (``request_relinquish``, ``dispatch_handoff``,
+  ``absorb_handoff``) — with ``rebalance=True``, a flagged straggler is
+  asked to relinquish its unstarted blocks; the acked positions are
+  handed off to a finished worker rank (or the inline spare) as a
   :class:`~repro.dist.comm.HandoffMsg`, executed by the same rank runtime
   for bit parity, journaled under the origin's rank into sidecar
-  journals, and folded into the reduction as their own producer — one
-  owner per block at every instant, so the one-producer-per-tile
-  invariant survives any steal x fault interleaving (rules M407/M408 in
-  the protocol model);
-* **clean up** — terminate stragglers and unlink every shared-memory
-  segment in a ``finally``, success or not (the leak tests attach-probe
-  every name afterwards).
+  journals, and reduced as their own producer — one owner per block at
+  every instant, so the one-producer-per-tile invariant survives any
+  steal x fault interleaving (rules M407/M408 in the protocol model);
+* **reduce** (``reduce``) — seed ``beta*C``, copy every producer's C
+  tiles (an arena plus a C index each) out enforcing the
+  one-producer-per-tile invariant, merge per-producer
+  :class:`~repro.runtime.numeric.NumericStats`, and merge every rank's
+  monotonic :class:`~repro.runtime.tracing.SpanStream` (origins aligned
+  via each recorder's single wall-clock sample) into one
+  :class:`~repro.runtime.tracing.Trace`;
+* **clean up** (``close``) — close a private pool (a borrowed one stays
+  warm) and unlink every shared-memory segment, success or not (the leak
+  tests attach-probe every name afterwards).
 
 Clock policy: every run-relative clock and deadline here is
 ``time.monotonic()`` — an NTP step can neither fire nor suppress the
@@ -59,10 +60,10 @@ span streams.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -73,7 +74,6 @@ from repro.dist.bservice import validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
-    CommLayer,
     CommStats,
     Empty,
     HandoffMsg,
@@ -81,13 +81,13 @@ from repro.dist.comm import (
 )
 from repro.dist.faults import FaultPlan
 from repro.dist.health import EventLog, RunHealth
+from repro.dist.pool import WorkerPool
 from repro.dist.tile_store import TileArena
 from repro.dist.worker import (
     ABORT_EXIT_CODE,
     ScatterMsg,
     WorkerReport,
     run_rank,
-    worker_main,
 )
 from repro.runtime.data import GeneratedCollection, MatrixSource
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
@@ -298,10 +298,6 @@ class DistReport:
         )
 
 
-def _start_method() -> str:
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
 def execute_plan_distributed(
     plan: ExecutionPlan,
     a: BlockSparseMatrix,
@@ -425,711 +421,736 @@ def execute_plan_distributed(
         # Fail fast: a B tile larger than the per-rank LRU budget would
         # otherwise empty a worker's cache and kill it mid-run.
         validate_b_budget(b.shape, plan.gpu_memory_bytes)
-    if fault_plan is not None:
-        for inj in fault_plan.injections:
-            require(
-                inj.rank < plan.grid.nprocs,
-                f"fault injection targets rank {inj.rank}, but the plan has "
-                f"only {plan.grid.nprocs} rank(s)",
-            )
-
-    # ---- persistence / checkpoint identity --------------------------------
-    persist = checkpoint_dir is not None or store_dir is not None
-    plan_hash = b_hash = run_hash = ""
-    coord_store: TileStore | None = None
-    if persist or pool is not None:
-        # A pooled run fingerprints its operands even without a disk
-        # tier: the workers' process-lifetime warm caches are keyed by
-        # the B fingerprint, and an empty namespace would alias operands.
-        plan_hash = plan_fingerprint(plan)
-        b_hash = b_fingerprint(b)
-        run_hash = run_fingerprint(plan_hash, b_hash, alpha)
-    if persist:
-        store_root = store_dir or f"{checkpoint_dir}/store"
-        if checkpoint_dir is not None:
-            snap = read_snapshot(checkpoint_dir)
-            if snap is not None and snap.get("plan") not in (None, plan_hash):
-                raise DistExecutionError(
-                    f"checkpoint directory {checkpoint_dir!r} belongs to a "
-                    f"different plan (snapshot plan hash "
-                    f"{str(snap.get('plan'))[:12]}..., this plan "
-                    f"{plan_hash[:12]}...); resume with the original "
-                    f"operands/grid or point checkpoint_dir at a fresh "
-                    f"directory"
-                )
-        coord_store = TileStore(store_root, budget_bytes=store_budget_bytes)
-
-    nranks = plan.grid.nprocs
+    elif not isinstance(b, BlockSparseMatrix):
+        raise TypeError(
+            f"distributed execution needs a BlockSparseMatrix or "
+            f"GeneratedCollection B, got {type(b).__name__}"
+        )
+    for inj in fault_plan.injections if fault_plan is not None else ():
+        require(
+            inj.rank < plan.grid.nprocs,
+            f"fault injection targets rank {inj.rank}, but the plan has "
+            f"only {plan.grid.nprocs} rank(s)",
+        )
+    if c is not None:
+        require(
+            c.rows == a.rows and c.cols == plan.b_shape.cols,
+            "C tilings do not conform",
+        )
     if pool is not None:
         require(not pool.closed, "worker pool is closed")
         require(
-            pool.nranks == nranks,
-            f"plan wants {nranks} rank(s) but the pool serves {pool.nranks}",
+            pool.nranks == plan.grid.nprocs,
+            f"plan wants {plan.grid.nprocs} rank(s) but the pool serves "
+            f"{pool.nranks}",
         )
-        ctx = pool.ctx
-        comm = pool.comm
-    else:
-        ctx = mp.get_context(start_method or _start_method())
-        comm = CommLayer(nranks, ctx)
-    coord = comm.endpoint(COORDINATOR)
-    comm_stats = CommStats()
-    # The coordinator's own recorder doubles as the run's monotonic clock
-    # and the alignment anchor for every rank's span stream.
-    rec = SpanRecorder(enabled=trace, max_spans=trace_max_spans)
-    clock = rec.now
+    return _Run(
+        plan, a, b, c, alpha, beta, pool, start_method,
+        fault_plan=fault_plan, max_retries=max_retries,
+        allow_reassign=allow_reassign, timeout=timeout, trace=trace,
+        trace_max_spans=trace_max_spans, heartbeat_interval=heartbeat_interval,
+        stall_after_beats=stall_after_beats, straggler_fraction=straggler_fraction,
+        metrics=metrics, events_path=events_path, checkpoint_dir=checkpoint_dir,
+        store_dir=store_dir, store_budget_bytes=store_budget_bytes,
+        snapshot_interval=snapshot_interval, rebalance=rebalance, run_id=run_id,
+    ).execute()
 
-    registry = MetricsRegistry(enabled=metrics)
-    m_heartbeats = registry.counter(
-        "repro_heartbeats_total", "worker heartbeats received"
-    )
-    m_stalls = registry.counter(
-        "repro_stalls_detected_total", "ranks declared stalled via missed heartbeats"
-    )
-    m_retries = registry.counter(
-        "repro_worker_retries_total", "worker processes respawned after a failure"
-    )
-    m_reassigned = registry.counter(
-        "repro_ranks_reassigned_total", "ranks reassigned to the coordinator"
-    )
-    m_rebalance_requests = registry.counter(
-        "repro_rebalance_requests_total",
-        "relinquish requests sent to flagged stragglers",
-    )
-    m_rebalance_blocks = registry.counter(
-        "repro_rebalance_blocks_reclaimed_total",
-        "blocks reclaimed from stragglers and handed off",
-    )
-    m_rebalance_tasks = registry.counter(
-        "repro_rebalance_tasks_moved_total",
-        "GEMM tasks moved off stragglers by the rebalancer",
-    )
-    m_rebalance_handoffs = registry.counter(
+
+#: The coordinator's own counters: attribute -> (metric name, help).
+_RUN_COUNTERS = {
+    "heartbeats": ("repro_heartbeats_total", "worker heartbeats received"),
+    "stalls": ("repro_stalls_detected_total",
+               "ranks declared stalled via missed heartbeats"),
+    "retries": ("repro_worker_retries_total",
+                "worker processes respawned after a failure"),
+    "reassigned": ("repro_ranks_reassigned_total",
+                   "ranks reassigned to the coordinator"),
+    "rebalance_requests": ("repro_rebalance_requests_total",
+                           "relinquish requests sent to flagged stragglers"),
+    "rebalance_blocks": ("repro_rebalance_blocks_reclaimed_total",
+                         "blocks reclaimed from stragglers and handed off"),
+    "rebalance_tasks": ("repro_rebalance_tasks_moved_total",
+                        "GEMM tasks moved off stragglers by the rebalancer"),
+    "rebalance_handoffs": (
         "repro_rebalance_handoffs_total",
         "handoffs dispatched (to helper ranks or the inline spare)",
-    )
-    m_blocks_completed = registry.counter(
+    ),
+    "blocks_completed": (
         "repro_blocks_completed_total",
         "per-block completion reports received on the telemetry channel",
-    )
-    health = RunHealth(
-        heartbeat_interval=heartbeat_interval,
-        stall_after_beats=stall_after_beats,
-        straggler_fraction=straggler_fraction,
-    )
-    events = EventLog(events_path, run_id)
-    events.emit(
-        "plan_accepted",
-        nranks=nranks,
-        heartbeat_interval=heartbeat_interval,
-        stall_after_beats=stall_after_beats,
-        tasks_per_rank={r: plan.procs[r].ntasks for r in range(nranks)},
-    )
+    ),
+}
 
-    arenas: list[TileArena] = []
-    workers: dict[int, mp.Process] = {}
-    # clock() stamps bracketing each rank's life outside its own recorder:
-    # ``spawn_clock`` at proc.start(), ``report_clock`` at done-report
-    # receipt.  At merge time the windows they bound against the worker's
-    # own span extent become measured ``spawn.<rank>`` / ``report.<rank>``
-    # spans (process startup; report serialization + shipping) instead of
-    # unattributable idle on the critical path.
-    spawn_clock: dict[int, float] = {}
-    report_clock: dict[int, float] = {}
-    try:
-        # ---- pack operands into shared memory -----------------------------
-        with rec.span("pack.a", "net.-1"):
-            a_arena = TileArena.pack("a", a.items())
-            arenas.append(a_arena)
-        a_meta = a_arena.meta()
 
-        b_arena = None
-        if isinstance(b, BlockSparseMatrix):
-            with rec.span("pack.b", "net.-1"):
-                b_arena = TileArena.pack("b", b.items())
-                arenas.append(b_arena)
-            b_spec = ("arena", b_arena.meta())
-        elif isinstance(b, GeneratedCollection):
-            b_spec = ("generated", b.empty_clone())
-        else:
-            raise TypeError(
-                f"distributed execution needs a BlockSparseMatrix or "
-                f"GeneratedCollection B, got {type(b).__name__}"
-            )
+@dataclass(eq=False)
+class _Run:
+    """One distributed run: the coordinator as explicit state.
 
-        def make_c_arena(rank: int, attempt: int) -> TileArena:
-            cap = sum(blk.c_bytes for blk in plan.procs[rank].blocks)
-            arena = TileArena.allocate(f"c{rank}a{attempt}", cap)
-            arenas.append(arena)
-            return arena
+    Fields are the settings of the call; :meth:`__post_init__` adds the
+    run's state.  It always works over a
+    :class:`~repro.dist.pool.WorkerPool`: the caller's (borrowed, left
+    warm) or a private one :meth:`execute` creates and :meth:`close`
+    closes, so spawn, liveness and teardown each have one path.
+    """
 
-        # ---- scatter ------------------------------------------------------
-        attempts = {rank: 1 for rank in range(nranks)}
-        c_arenas: dict[int, TileArena] = {}
+    plan: ExecutionPlan
+    a: BlockSparseMatrix
+    b: BlockSparseMatrix | GeneratedCollection
+    c: BlockSparseMatrix | None
+    alpha: float
+    beta: float
+    pool: WorkerPool | None
+    start_method: str | None
+    fault_plan: FaultPlan | None
+    max_retries: int
+    allow_reassign: bool
+    timeout: float
+    trace: bool
+    trace_max_spans: int
+    heartbeat_interval: float
+    stall_after_beats: int
+    straggler_fraction: float
+    metrics: bool
+    events_path: str | None
+    checkpoint_dir: str | None
+    store_dir: str | None
+    store_budget_bytes: int | None
+    snapshot_interval: float
+    rebalance: bool
+    run_id: str | None
+
+    def __post_init__(self) -> None:
+        plan = self.plan
+        self.nranks = plan.grid.nprocs
+        self.borrowed = self.pool is not None
+
+        # ---- persistence / checkpoint identity ----------------------------
+        self.persist = self.checkpoint_dir is not None or self.store_dir is not None
+        self.plan_hash = self.b_hash = self.run_hash = ""
+        if self.persist or self.borrowed:
+            # A borrowed pool's workers keep process-lifetime warm caches
+            # keyed by the B fingerprint, so a pooled run fingerprints its
+            # operands even without a disk tier (an empty namespace would
+            # alias operands).  A private pool dies with the run: a cold
+            # run without a store never hashes B.
+            self.plan_hash = plan_fingerprint(plan)
+            self.b_hash = b_fingerprint(self.b)
+            self.run_hash = run_fingerprint(self.plan_hash, self.b_hash, self.alpha)
+        if self.checkpoint_dir is not None:
+            snap = read_snapshot(self.checkpoint_dir)
+            if snap is not None and snap.get("plan") not in (None, self.plan_hash):
+                raise DistExecutionError(
+                    f"checkpoint directory {self.checkpoint_dir!r} belongs to "
+                    f"a different plan (snapshot plan hash "
+                    f"{str(snap.get('plan'))[:12]}..., this plan "
+                    f"{self.plan_hash[:12]}...); resume with the original "
+                    f"operands/grid or point checkpoint_dir at a fresh "
+                    f"directory"
+                )
+
+        self.comm_stats = CommStats()
+        # The coordinator's own recorder doubles as the run's monotonic
+        # clock and the alignment anchor for every rank's span stream.
+        self.rec = SpanRecorder(enabled=self.trace, max_spans=self.trace_max_spans)
+        self.clock = self.rec.now
+        self.registry = MetricsRegistry(enabled=self.metrics)
+        self.m = SimpleNamespace(**{
+            attr: self.registry.counter(name, help_)
+            for attr, (name, help_) in _RUN_COUNTERS.items()
+        })
+        self.health = RunHealth(
+            heartbeat_interval=self.heartbeat_interval,
+            stall_after_beats=self.stall_after_beats,
+            straggler_fraction=self.straggler_fraction,
+        )
+
+        #: Every segment this run created; :meth:`close` unlinks them all.
+        self.arenas: list[TileArena] = []
+        self.c_arenas: dict[int, TileArena] = {}
+        # clock() stamps at each rank's process (re)start and done-report
+        # receipt.  Against the worker's own span extent they become
+        # measured ``spawn.<rank>`` / ``report.<rank>`` spans at merge time
+        # instead of unattributable idle on the critical path.
+        self.spawn_clock: dict[int, float] = {}
+        self.report_clock: dict[int, float] = {}
+
+        # ---- supervise state ---------------------------------------------
+        self.attempts = {rank: 1 for rank in range(self.nranks)}
+        self.pending = set(range(self.nranks))
+        self.reports: dict[int, WorkerReport] = {}
+        self.reassigned: list[int] = []
+        self.stalled: list[int] = []
+        #: rank -> monotonic instant its process was first seen dead.
+        self.suspects: dict[int, float] = {}
         #: The freshest cumulative MetricsSnapshot per rank — heartbeats
         #: update it live, the rank's final report supersedes them.
-        last_metrics: dict[int, MetricsSnapshot] = {}
+        self.last_metrics: dict[int, MetricsSnapshot] = {}
 
-        def completed_for(rank: int) -> tuple:
-            """Journaled-and-validated blocks this scatter may skip.
-
-            Re-read from disk on *every* scatter: a fresh run resumes a
-            prior run's journal, and a retried rank resumes whatever its
-            killed predecessor managed to journal this run.
-            """
-            if checkpoint_dir is None:
-                return ()
-            done = validated_completed_blocks(
-                checkpoint_dir, rank, run_hash, coord_store
-            )
-            return tuple(
-                (g, bi, rec_.tiles) for (g, bi), rec_ in sorted(done.items())
-            )
-
+        # ---- rebalance state ---------------------------------------------
         #: Block positions reclaimed from each rank, cumulative across its
         #: attempts: a retried origin must never re-execute a block the
         #: rebalancer already owns (that would double-produce its tiles).
-        stolen_blocks: dict[int, set[tuple[int, int]]] = {}
-
-        def stolen_tasks(rank: int) -> int:
-            return sum(
-                plan.procs[rank].gpu_blocks(g)[bi].ntasks
-                for g, bi in stolen_blocks.get(rank, ())
-            )
-
-        def rank_msg(rank: int, attempt: int, fault) -> ScatterMsg:
-            """One rank's plan, arenas, restore and exclusion lists.
-
-            Allocates the attempt's C arena.  The same message feeds a
-            worker process (:func:`scatter`) and the inline spare.
-            """
-            c_arenas[rank] = make_c_arena(rank, attempt)
-            stolen = stolen_blocks.get(rank, set())
-            # A journal may already hold stolen blocks (the handoff's
-            # sidecar): they are the handoff's to produce, not this rank's
-            # to restore.
-            completed = tuple(
-                t for t in completed_for(rank) if (t[0], t[1]) not in stolen
-            )
-            if completed:
-                events.emit(
-                    "resume", rank=rank, attempt=attempt,
-                    blocks=len(completed),
-                    tasks_skipped=sum(
-                        plan.procs[rank].gpu_blocks(g)[bi].ntasks
-                        for g, bi, _ in completed
-                    ),
-                )
-            return ScatterMsg(
-                proc=plan.procs[rank],
-                grid=plan.grid,
-                gpus_per_proc=plan.grid.gpus_per_proc,
-                gpu_memory_bytes=plan.gpu_memory_bytes,
-                b_csr=plan.b_shape.csr,
-                tau=plan.options.screen_threshold,
-                alpha=alpha,
-                a_meta=a_meta,
-                b_spec=b_spec,
-                c_meta=c_arenas[rank].meta(),
-                fault=fault,
-                attempt=attempt,
-                trace=trace,
-                max_spans=trace_max_spans,
-                heartbeat_interval=heartbeat_interval,
-                metrics=metrics,
-                store_dir=store_dir,
-                store_budget=store_budget_bytes,
-                b_hash=b_hash,
-                ckpt_dir=checkpoint_dir,
-                run_hash=run_hash,
-                completed=completed,
-                excluded=tuple(sorted(stolen)),
-                rebalance=rebalance,
-            )
-
-        def scatter(rank: int, attempt: int) -> None:
-            """Ship one rank's message to its worker process.
-
-            Protocol:
-                send scatter: coordinator -> worker [data]
-            """
-            inj = fault_plan.for_rank(rank) if fault_plan is not None else None
-            if inj is not None and not inj.armed(attempt):
-                inj = None
-            msg = rank_msg(rank, attempt, inj)
-            t_send = clock()
-            sent = coord.send(rank, msg)
-            rec.record(f"scatter.{rank}", f"net.{rank}", t_send, clock())
-            rec.count("bytes.scatter", sent)
-            health.on_scatter(
-                rank, plan.procs[rank].ntasks - stolen_tasks(rank), attempt,
-                time.monotonic(),
-            )
-            last_metrics.pop(rank, None)  # a fresh attempt restarts its counters
-            events.emit(
-                "scatter", rank=rank, attempt=attempt,
-                tasks_total=plan.procs[rank].ntasks,
-            )
-
-        def spawn(rank: int) -> None:
-            spawn_clock[rank] = clock()
-            if pool is not None:
-                # Borrowed process: alive from a previous run (warm) or
-                # respawned by the pool after a failure.  The pool keeps
-                # the canonical record; ``workers`` mirrors it so the
-                # supervise loop's liveness checks read one dict.
-                workers[rank] = pool.ensure(rank)
-                return
-            proc = ctx.Process(
-                target=worker_main, args=(rank, comm.endpoint(rank)), daemon=True
-            )
-            proc.start()
-            workers[rank] = proc
-
-        for rank in range(nranks):
-            spawn(rank)
-            scatter(rank, attempt=0)
-
-        # ---- supervise / gather -------------------------------------------
-        reports: dict[int, WorkerReport] = {}
-        reassigned: list[int] = []
-        stalled: list[int] = []
-        pending = set(range(nranks))
-        suspects: dict[int, float] = {}
-        deadline = time.monotonic() + timeout
-
-        # ---- rebalance state ---------------------------------------------
+        self.stolen_blocks: dict[int, set[tuple[int, int]]] = {}
+        self.flagged_stragglers: set[int] = set()
         #: rank -> attempt of the one relinquish request in flight to it.
-        outstanding_relinquish: dict[int, int] = {}
+        self.outstanding_relinquish: dict[int, int] = {}
         #: handoff id -> dispatch record (origin, helper, blocks, arena).
-        pending_handoffs: dict[int, dict] = {}
+        self.pending_handoffs: dict[int, dict] = {}
         #: handoff id -> (origin, C arena, C index, stats) for the reduction.
-        handoff_results: dict[int, tuple] = {}
-        next_handoff = 0
+        self.handoff_results: dict[int, tuple] = {}
+        self.next_handoff = 0
 
-        def on_failure(rank: int, reason: str) -> None:
-            suspects.pop(rank, None)
-            # A retried or reassigned rank starts a fresh attempt: its
-            # straggler flag must not outlive the attempt it measured (a
-            # slow *second* attempt must be re-flaggable), and any
-            # relinquish in flight to the dead attempt is superseded.
-            flagged_stragglers.discard(rank)
-            outstanding_relinquish.pop(rank, None)
-            old = workers.pop(rank, None)
-            if old is not None and old.is_alive():
-                # Still breathing (a stalled or wedged worker): put it down
-                # before its rank is re-executed anywhere else.
-                old.terminate()
-                old.join(timeout=1.0)
-            if attempts[rank] <= max_retries:
-                attempts[rank] += 1
-                m_retries.inc()
-                health.mark(rank, "retried")
-                events.emit(
-                    "retry", rank=rank, attempt=attempts[rank] - 1, reason=reason
-                )
-                spawn(rank)
-                scatter(rank, attempt=attempts[rank] - 1)
-            elif allow_reassign:
-                # The inline spare: the rank runtime called in-process, with
-                # no endpoint (no heartbeats, no relinquish polling) and
-                # never a fault — a re-armed kill would exit the
-                # coordinator.  Blocks stolen from the rank stay excluded.
-                attempts[rank] += 1
-                report = run_rank(rank_msg(rank, attempts[rank] - 1, None))
-                reports[rank] = report
-                pending.discard(rank)
-                # The dead retry's process start is not this report's.
-                spawn_clock.pop(rank, None)
-                if report.metrics is not None:
-                    last_metrics[rank] = report.metrics
-                reassigned.append(rank)
-                m_reassigned.inc()
-                health.mark(rank, "reassigned")
-                events.emit("reassign", rank=rank, attempt=attempts[rank])
+    # ---- life cycle --------------------------------------------------------
+
+    def execute(self) -> tuple[BlockSparseMatrix, DistReport]:
+        """Scatter, supervise and reduce; release everything either way."""
+        self.events = EventLog(self.events_path, self.run_id)
+        self.events.emit(
+            "plan_accepted", nranks=self.nranks,
+            heartbeat_interval=self.heartbeat_interval,
+            stall_after_beats=self.stall_after_beats,
+            tasks_per_rank={r: p.ntasks for r, p in enumerate(self.plan.procs)},
+        )
+        store_root = self.store_dir or f"{self.checkpoint_dir}/store"
+        self.coord_store = TileStore(
+            store_root, budget_bytes=self.store_budget_bytes
+        ) if self.persist else None
+        if not self.borrowed:
+            self.pool = WorkerPool(self.nranks, start_method=self.start_method)
+        self.coord = self.pool.endpoint()
+        try:
+            # ---- pack operands into shared memory ---------------------------
+            with self.rec.span("pack.a", "net.-1"):
+                a_meta = self._own(TileArena.pack("a", self.a.items())).meta()
+            if isinstance(self.b, BlockSparseMatrix):
+                with self.rec.span("pack.b", "net.-1"):
+                    b_arena = self._own(TileArena.pack("b", self.b.items()))
+                b_spec = ("arena", b_arena.meta())
             else:
-                raise DistExecutionError(
-                    f"rank {rank} failed after {attempts[rank]} attempt(s): {reason}"
-                )
-
-        def drain_telemetry() -> None:
-            """Fold every queued heartbeat into the live health picture.
-
-            Protocol:
-                recv heartbeat: worker -> coordinator [telemetry]
-                recv block_done: worker -> coordinator [telemetry]
-            """
-            while True:
-                try:
-                    src, hb, nbytes = coord.recv_telemetry()
-                except Empty:
-                    return
-                comm_stats.absorb_telemetry({(src, COORDINATOR): nbytes})
-                if isinstance(hb, BlockDoneMsg):
-                    if hb.attempt == attempts.get(hb.rank, 0) - 1:
-                        m_blocks_completed.inc()
-                        events.emit(
-                            "block_done", rank=hb.rank, attempt=hb.attempt,
-                            gpu=hb.gpu, block=hb.block, tasks=hb.ntasks,
-                        )
-                    continue
-                now = time.monotonic()
-                first = (
-                    health.ranks.get(hb.rank) is not None
-                    and health.ranks[hb.rank].first_beat is None
-                )
-                if not health.on_heartbeat(hb, now):
-                    continue  # late beat from a terminated attempt
-                m_heartbeats.inc()
-                if hb.metrics is not None:
-                    last_metrics[hb.rank] = hb.metrics
-                if first:
-                    events.emit("worker_up", rank=hb.rank, attempt=hb.attempt)
-                events.emit(
-                    "heartbeat", rank=hb.rank, attempt=hb.attempt, seq=hb.seq,
-                    tasks_done=hb.tasks_done, uptime=round(hb.uptime, 3),
-                )
-
-        flagged_stragglers: set[int] = set()
-
-        def maybe_relinquish(rank: int) -> None:
-            """Ask a flagged straggler to yield its unstarted blocks.
-
-            At most one request per rank is in flight; the pin to the live
-            attempt lets the worker (and the supervise loop) discard a
-            request that raced a retry.
-
-            Protocol:
-                send relinquish: coordinator -> worker [data]
-            """
-            if not rebalance or rank in outstanding_relinquish or rank not in pending:
-                return
-            att = attempts[rank] - 1
-            outstanding_relinquish[rank] = att
-            coord.send(rank, RelinquishMsg(attempt=att))
-            m_rebalance_requests.inc()
-            events.emit("rebalance", rank=rank, attempt=att)
-
-        def pick_helper() -> int | None:
-            """A finished worker rank able to absorb a handoff, or ``None``.
-
-            Only ranks that reported *through the comm layer* qualify: an
-            inline-reassigned rank has no worker process to send to.
-            """
-            for r in sorted(reports):
-                proc = workers.get(r)  # None for an inline-reassigned rank
-                if proc is not None and proc.is_alive():
-                    return r
-            return None
-
-        def handoff_msg(hid: int) -> HandoffMsg:
-            """One handoff's message, writing into a fresh C arena.
-
-            Fresh on every call: a handoff redone after a helper failure
-            must not inherit the helper's arena, which may hold partial
-            tiles.
-            """
-            h = pending_handoffs[hid]
-            cap = sum(blk.c_bytes for _, _, blk in h["blocks"])
-            h["arena"] = TileArena.allocate(f"h{hid}", cap)
-            arenas.append(h["arena"])
-            return HandoffMsg(
-                handoff_id=hid,
-                origin=h["origin"],
-                blocks=h["blocks"],
-                a_meta=a_meta,
-                b_spec=b_spec,
-                c_meta=h["arena"].meta(),
-                gpu_memory_bytes=plan.gpu_memory_bytes,
-                b_csr=plan.b_shape.csr,
-                tau=plan.options.screen_threshold,
-                alpha=alpha,
-                store_dir=store_dir,
-                store_budget=store_budget_bytes,
-                b_hash=b_hash,
-                ckpt_dir=checkpoint_dir,
-                run_hash=run_hash,
+                b_spec = ("generated", self.b.empty_clone())
+            plan = self.plan
+            #: What every scatter and handoff message carries alike.
+            self.msg_fields = dict(
+                a_meta=a_meta, b_spec=b_spec,
+                gpu_memory_bytes=plan.gpu_memory_bytes, b_csr=plan.b_shape.csr,
+                tau=plan.options.screen_threshold, alpha=self.alpha,
+                store_dir=self.store_dir, store_budget=self.store_budget_bytes,
+                b_hash=self.b_hash, ckpt_dir=self.checkpoint_dir,
+                run_hash=self.run_hash,
             )
+            for rank in range(self.nranks):
+                self.spawn(rank)
+                self.scatter(rank, attempt=0)
+            self.supervise()
+            return self.reduce()
+        finally:
+            self.close()
 
-        def absorb_handoff(hid: int, helper, c_index: dict, stats) -> None:
-            h = pending_handoffs.pop(hid)
-            handoff_results[hid] = (h["origin"], h["arena"], c_index, stats)
-            events.emit(
-                "handoff_done", handoff=hid, origin=h["origin"], helper=helper,
-                tasks=stats.ntasks,
+    def close(self) -> None:
+        """Release what the run holds, success or not."""
+        self.events.close()
+        if self.coord_store is not None:
+            self.coord_store.close()
+        if not self.borrowed:
+            # A one-shot run's private pool dies with it.  A borrowed pool
+            # stays warm: its owner (the serving layer) decides when
+            # workers die, and resets the pool itself after a failed run.
+            self.pool.close()
+        for arena in self.arenas:
+            arena.unlink()
+
+    def _own(self, arena: TileArena) -> TileArena:
+        """Record a segment this run created; :meth:`close` unlinks it."""
+        self.arenas.append(arena)
+        return arena
+
+    def _c_arena(self, name: str, blocks) -> TileArena:
+        """A fresh output arena sized for ``blocks``' C tiles."""
+        return self._own(TileArena.allocate(name, sum(blk.c_bytes for blk in blocks)))
+
+    def tasks_in(self, rank: int, positions) -> int:
+        """GEMM tasks of ``rank``'s blocks at ``positions`` (``(g, bi, ...)``)."""
+        proc = self.plan.procs[rank]
+        return sum(proc.gpu_blocks(g)[bi].ntasks for g, bi, *_ in positions)
+
+    # ---- scatter -----------------------------------------------------------
+
+    def rank_msg(self, rank: int, attempt: int, fault) -> ScatterMsg:
+        """One rank's plan, arenas, restore and exclusion lists.
+
+        Allocates the attempt's C arena.  The same message feeds a worker
+        process (:meth:`scatter`) and the inline spare.  Journaled blocks
+        are re-read from disk on *every* scatter: a fresh run resumes a
+        prior run's journal, and a retried rank resumes whatever its killed
+        predecessor managed to journal this run.
+        """
+        plan = self.plan
+        self.c_arenas[rank] = self._c_arena(
+            f"c{rank}a{attempt}", plan.procs[rank].blocks
+        )
+        stolen = self.stolen_blocks.get(rank, set())
+        done = {} if self.checkpoint_dir is None else validated_completed_blocks(
+            self.checkpoint_dir, rank, self.run_hash, self.coord_store
+        )
+        # A journal may already hold stolen blocks (the handoff's sidecar):
+        # they are the handoff's to produce, not this rank's to restore.
+        completed = tuple(
+            (g, bi, rec.tiles) for (g, bi), rec in sorted(done.items())
+            if (g, bi) not in stolen
+        )
+        if completed:
+            self.events.emit(
+                "resume", rank=rank, attempt=attempt, blocks=len(completed),
+                tasks_skipped=self.tasks_in(rank, completed),
             )
+        return ScatterMsg(
+            proc=plan.procs[rank], grid=plan.grid,
+            gpus_per_proc=plan.grid.gpus_per_proc,
+            c_meta=self.c_arenas[rank].meta(), fault=fault, attempt=attempt,
+            trace=self.trace, max_spans=self.trace_max_spans,
+            heartbeat_interval=self.heartbeat_interval, metrics=self.metrics,
+            completed=completed, excluded=tuple(sorted(stolen)),
+            rebalance=self.rebalance, **self.msg_fields,
+        )
 
-        def handoff_inline(hid: int) -> None:
-            """Run one handoff through the rank runtime in-process.
+    def spawn(self, rank: int) -> None:
+        """Bring the rank's process up: warm from the pool, or (re)spawned."""
+        self.spawn_clock[rank] = self.clock()
+        self.pool.ensure(rank)
 
-            The fallback producer: used when no helper rank is free, when
-            the chosen helper dies or reports failure mid-handoff, or when
-            a handoff times out.  Re-executing after a partial helper run
-            is safe — duplicate journal/store records are bit-identical
-            and only this inline result enters the reduction.
-            """
-            report = run_rank(handoff_msg(hid))
-            absorb_handoff(hid, None, report.c_index, report.stats)
+    def scatter(self, rank: int, attempt: int) -> None:
+        """Ship one rank's message to its worker process.
 
-        def dispatch_handoff(origin: int, positions: tuple) -> None:
-            """Ship reclaimed blocks to a helper rank (or run them inline).
+        Protocol:
+            send scatter: coordinator -> worker [data]
+        """
+        inj = self.fault_plan.for_rank(rank) if self.fault_plan is not None else None
+        if inj is not None and not inj.armed(attempt):
+            inj = None
+        msg = self.rank_msg(rank, attempt, inj)
+        t_send = self.clock()
+        sent = self.coord.send(rank, msg)
+        self.rec.record(f"scatter.{rank}", f"net.{rank}", t_send, self.clock())
+        self.rec.count("bytes.scatter", sent)
+        planned = self.plan.procs[rank].ntasks
+        stolen = self.tasks_in(rank, self.stolen_blocks.get(rank, ()))
+        self.health.on_scatter(rank, planned - stolen, attempt, time.monotonic())
+        self.last_metrics.pop(rank, None)  # a fresh attempt restarts its counters
+        self.events.emit("scatter", rank=rank, attempt=attempt, tasks_total=planned)
 
-            Protocol:
-                send handoff: coordinator -> worker [data]
-            """
-            nonlocal next_handoff
-            hid = next_handoff
-            next_handoff += 1
-            blocks_payload = tuple(
-                (g, bi, plan.procs[origin].gpu_blocks(g)[bi])
-                for g, bi in positions
-            )
-            moved = sum(blk.ntasks for _, _, blk in blocks_payload)
-            helper = pick_helper()
-            m_rebalance_handoffs.inc()
-            m_rebalance_blocks.inc(len(blocks_payload))
-            m_rebalance_tasks.inc(moved)
-            events.emit(
-                "handoff", handoff=hid, origin=origin, helper=helper,
-                blocks=len(blocks_payload), tasks=moved,
-            )
-            pending_handoffs[hid] = {
-                "origin": origin, "helper": helper,
-                "blocks": blocks_payload, "arena": None,
-                "started": time.monotonic(),
-            }
-            if helper is None:
-                handoff_inline(hid)
-            else:
-                coord.send(helper, handoff_msg(hid))
+    # ---- supervise ---------------------------------------------------------
 
-        def patrol() -> None:
-            """Dead-worker, stall, and straggler checks between messages."""
-            now = time.monotonic()
-            for rank in sorted(pending):
-                proc = workers.get(rank)
-                if proc is not None and proc.exitcode == ABORT_EXIT_CODE:
-                    # The abort fault: the whole job is lost, not one rank —
-                    # no retry, no reassignment.  Whatever the journals
-                    # captured is the resume point.
-                    events.emit("abort", rank=rank, attempt=attempts[rank] - 1)
-                    raise DistExecutionError(
-                        f"rank {rank} aborted (unrecoverable kill)"
-                        + (
-                            f"; resume by re-running with "
-                            f"checkpoint_dir={checkpoint_dir!r}"
-                            if checkpoint_dir is not None else ""
-                        )
-                    )
-                if proc is not None and proc.exitcode is not None:
-                    first = suspects.setdefault(rank, now)
-                    if now - first >= _GRACE_SECONDS:
-                        on_failure(rank, f"worker exited with code {proc.exitcode}")
-            for rank in health.stalled_ranks(time.monotonic(), pending):
-                m_stalls.inc()
-                stalled.append(rank)
-                health.mark(rank, "stalled")
-                silent = time.monotonic() - health.ranks[rank].last_signal
-                events.emit(
-                    "stall", rank=rank, attempt=attempts[rank] - 1,
-                    silent_seconds=round(silent, 3),
-                )
-                on_failure(
-                    rank,
-                    f"stalled: no heartbeat for {silent:.2f} s "
-                    f"(> {stall_after_beats} x {heartbeat_interval} s)",
-                )
-            current = set(health.straggler_ranks(time.monotonic()))
-            for rank in sorted(current - flagged_stragglers):
-                flagged_stragglers.add(rank)
-                health.mark(rank, "straggler")
-                events.emit("straggler", rank=rank)
-                maybe_relinquish(rank)
-            for rank in sorted(flagged_stragglers - current):
-                # Recovery: the rank's windowed rate climbed back over the
-                # threshold (or it finished).  Clear the flag so a later
-                # slowdown re-flags it — a sticky flag would mute every
-                # straggler after its first offense.
-                flagged_stragglers.discard(rank)
-                rh = health.ranks.get(rank)
-                if rh is not None and rh.state == "straggler":
-                    health.mark(rank, "running")
-                    events.emit("straggler_recovered", rank=rank)
-            for hid in sorted(pending_handoffs):
-                h = pending_handoffs[hid]
-                helper = h["helper"]
-                if helper is None:
-                    continue
-                proc = workers.get(helper)
-                helper_dead = proc is None or proc.exitcode is not None
-                timed_out = now - h["started"] > _HANDOFF_TIMEOUT_SECONDS
-                if helper_dead or timed_out:
-                    events.emit(
-                        "handoff_failed", handoff=hid, origin=h["origin"],
-                        helper=helper,
-                        reason="helper died" if helper_dead else "timeout",
-                    )
-                    handoff_inline(hid)
+    def supervise(self) -> None:
+        """Gather reports until every rank and handoff has a producer.
 
-        def snapshot(state: str) -> None:
-            """Atomically refresh ``coordinator.json`` with live progress."""
-            if checkpoint_dir is None:
-                return
-            write_snapshot(checkpoint_dir, {
-                "v": 1,
-                "state": state,
-                "plan": plan_hash,
-                "b": b_hash,
-                "run": run_hash,
-                "alpha": float(alpha),
-                "nranks": nranks,
-                "attempts": {str(r): a for r, a in attempts.items()},
-                "ranks": {
-                    str(r): {
-                        "state": rh.state,
-                        "tasks_done": rh.tasks_done,
-                        "tasks_total": rh.tasks_total,
-                    }
-                    for r, rh in health.ranks.items()
-                },
-            })
-
+        Protocol:
+            recv done: worker -> coordinator [data]
+            recv error: worker -> coordinator [data]
+            recv relinquished: worker -> coordinator [data]
+            recv handoff_done: worker -> coordinator [data]
+        """
+        deadline = time.monotonic() + self.timeout
         # The first snapshot lands before any worker makes progress, so a
-        # run killed at any later instant still records its identity (and a
-        # later mismatched plan is refused).
-        snapshot("running")
-        last_snapshot = time.monotonic()
-        last_patrol = time.monotonic()
-
-        while pending or pending_handoffs:
+        # run killed at any later instant still records its identity (and
+        # a later mismatched plan is refused).
+        self.snapshot("running")
+        last_snapshot = last_patrol = time.monotonic()
+        while self.pending or self.pending_handoffs:
             if time.monotonic() > deadline:
                 raise DistExecutionError(
-                    f"distributed run timed out after {timeout:.0f} s "
-                    f"(pending ranks: {sorted(pending)})"
+                    f"distributed run timed out after {self.timeout:.0f} s "
+                    f"(pending ranks: {sorted(self.pending)})"
                 )
-            if time.monotonic() - last_snapshot >= snapshot_interval:
-                snapshot("running")
+            if time.monotonic() - last_snapshot >= self.snapshot_interval:
+                self.snapshot("running")
                 last_snapshot = time.monotonic()
-            drain_telemetry()
+            self.drain_telemetry()
             # Patrol on a bounded monotonic cadence, not only when the
             # inbox goes quiet: a steady message stream used to starve
             # dead-worker/stall/straggler detection entirely.
             if time.monotonic() - last_patrol >= _PATROL_INTERVAL_SECONDS:
-                patrol()
+                self.patrol()
                 last_patrol = time.monotonic()
             try:
-                src, msg, nbytes = coord.recv(timeout=0.1)
+                src, msg, nbytes = self.coord.recv(timeout=0.1)
             except Empty:
-                patrol()
+                self.patrol()
                 last_patrol = time.monotonic()
                 continue
-            kind, rank = msg[0], msg[1]
-            comm_stats.absorb({(rank, COORDINATOR): nbytes}, {(rank, COORDINATOR): 1})
-            if kind == "done":
-                # Accept only the live attempt's report: a stale one from a
-                # superseded attempt (its worker lost the race against the
-                # patrol's grace window) points at a retired C arena — the
-                # protocol model's recv:done:stale -> discard edge.
-                if rank in pending and msg[2].attempt == attempts[rank] - 1:
-                    reports[rank] = msg[2]
-                    report_clock[rank] = clock()
-                    pending.discard(rank)
-                    suspects.pop(rank, None)
-                    # A done report supersedes any relinquish in flight to
-                    # this rank (M408) and retires its straggler flag.
-                    outstanding_relinquish.pop(rank, None)
-                    flagged_stragglers.discard(rank)
-                    if msg[2].metrics is not None:
-                        last_metrics[rank] = msg[2].metrics
-                    health.on_done(rank, time.monotonic())
-                    events.emit(
-                        "rank_done", rank=rank, attempt=msg[2].attempt,
-                        tasks=msg[2].stats.ntasks,
-                    )
-                else:
-                    events.emit(
-                        "stale_report", rank=rank, kind="done",
-                        attempt=msg[2].attempt,
-                    )
-            elif kind == "error":
-                # msg = ("error", rank, attempt, traceback); attempt -1
-                # means the worker died before it even received a scatter.
-                if rank in pending and msg[2] in (-1, attempts[rank] - 1):
-                    on_failure(rank, msg[3])
-                else:
-                    events.emit(
-                        "stale_report", rank=rank, kind="error",
-                        attempt=msg[2],
-                    )
-            elif kind == "relinquished":
-                # msg = ("relinquished", rank, attempt, positions): the
-                # straggler's ack.  Accept only the ack for the request we
-                # sent to the live attempt; anything else is stale (the
-                # rank finished, died, or was retried in between).
-                att, positions = msg[2], tuple(tuple(p) for p in msg[3])
-                live = (
-                    outstanding_relinquish.get(rank) == att
-                    and rank in pending
-                    and att == attempts[rank] - 1
-                )
-                if live:
-                    outstanding_relinquish.pop(rank, None)
-                    events.emit(
+            link = (msg[1], COORDINATOR)
+            self.comm_stats.absorb({link: nbytes}, {link: 1})
+            self.receive(msg)
+        self.drain_telemetry()  # beats raced against the final reports
+        self.snapshot("done")
+
+    def receive(self, msg: tuple) -> None:
+        """Route one data-channel message to its action, or discard it.
+
+        Reports carry the attempt they belong to; anything from a
+        superseded attempt is stale (``recv:<msg>:stale -> discard`` in
+        the model) — acting on it would credit a retired C arena or
+        recover a rank twice.
+        """
+        kind, rank = msg[0], msg[1]
+        live = self.attempts[rank] - 1 if rank in self.pending else None
+        if kind == "done":
+            # A done report losing the race against the patrol's grace
+            # window points at a retired C arena.
+            if msg[2].attempt == live:
+                return self.complete_rank(rank, msg[2])
+            detail = {"attempt": msg[2].attempt}
+        elif kind == "error":
+            # msg = ("error", rank, attempt, traceback); attempt -1 means
+            # the worker died before it even received a scatter.
+            if live is not None and msg[2] in (-1, live):
+                return self.recover_rank(rank, msg[3])
+            detail = {"attempt": msg[2]}
+        elif kind == "relinquished":
+            # msg = ("relinquished", rank, attempt, positions): the
+            # straggler's ack.  Only the ack for the request sent to the
+            # live attempt counts; any other is stale (the rank finished,
+            # died, or was retried in between).
+            att, positions = msg[2], tuple(tuple(p) for p in msg[3])
+            if self.outstanding_relinquish.get(rank) == att:
+                self.outstanding_relinquish.pop(rank)
+                if att == live:
+                    self.events.emit(
                         "relinquished", rank=rank, attempt=att,
                         blocks=len(positions),
                     )
                     if positions:
-                        stolen_blocks.setdefault(rank, set()).update(positions)
-                        moved = sum(
-                            plan.procs[rank].gpu_blocks(g)[bi].ntasks
-                            for g, bi in positions
-                        )
-                        rh = health.ranks.get(rank)
-                        if rh is not None:
-                            # The origin's denominator shrinks with its
-                            # schedule, so progress fractions stay honest.
-                            rh.tasks_total = max(0, rh.tasks_total - moved)
-                        dispatch_handoff(rank, positions)
-                else:
-                    if outstanding_relinquish.get(rank) == att:
-                        outstanding_relinquish.pop(rank, None)
-                    events.emit(
-                        "stale_report", rank=rank, kind="relinquished",
-                        attempt=att,
-                    )
-            elif kind == "handoff_done":
-                # msg = ("handoff_done", rank, hid, c_index, stats);
-                # c_index None flags a helper-side failure -> redo inline.
-                hid = msg[2]
-                h = pending_handoffs.get(hid)
-                if h is None:
-                    # Already resolved (timed out and redone inline, or a
-                    # duplicate): the late result is stale, not an error.
-                    events.emit(
-                        "stale_report", rank=rank, kind="handoff_done",
-                        handoff=hid,
-                    )
-                elif msg[3] is None:
-                    events.emit(
-                        "handoff_failed", handoff=hid, origin=h["origin"],
-                        helper=rank, reason="helper error",
-                    )
-                    handoff_inline(hid)
-                else:
-                    absorb_handoff(hid, rank, msg[3], msg[4])
-            else:  # pragma: no cover - unknown message kind
-                raise DistExecutionError(f"unexpected message {kind!r} from rank {rank}")
-        drain_telemetry()  # beats raced against the final reports
-        snapshot("done")
+                        self.dispatch_handoff(rank, positions)
+                    return
+            detail = {"attempt": att}
+        elif kind == "handoff_done":
+            # msg = ("handoff_done", rank, hid, c_index, stats); c_index
+            # None flags a helper-side failure -> redo inline.  A handoff
+            # already resolved (timed out and redone inline) is stale.
+            hid, h = msg[2], self.pending_handoffs.get(msg[2])
+            if h is not None and msg[3] is None:
+                self.events.emit(
+                    "handoff_failed", handoff=hid, origin=h["origin"],
+                    helper=rank, reason="helper error",
+                )
+                return self.handoff_inline(hid)
+            if h is not None:
+                return self.absorb_handoff(hid, rank, msg[3], msg[4])
+            detail = {"handoff": hid}
+        else:  # pragma: no cover - unknown message kind
+            raise DistExecutionError(f"unexpected message {kind!r} from rank {rank}")
+        self.events.emit("stale_report", rank=rank, kind=kind, **detail)
 
-        # ---- reduce -------------------------------------------------------
-        out = BlockSparseMatrix(a.rows, plan.b_shape.cols)
-        if c is not None:
-            require(
-                c.rows == a.rows and c.cols == plan.b_shape.cols,
-                "C tilings do not conform",
+    def complete_rank(self, rank: int, report: WorkerReport) -> None:
+        """File the live attempt's done report."""
+        self.reports[rank] = report
+        self.report_clock[rank] = self.clock()
+        self.pending.discard(rank)
+        self.suspects.pop(rank, None)
+        # A done report supersedes any relinquish in flight to this rank
+        # (M408) and retires its straggler flag.
+        self.outstanding_relinquish.pop(rank, None)
+        self.flagged_stragglers.discard(rank)
+        if report.metrics is not None:
+            self.last_metrics[rank] = report.metrics
+        self.health.on_done(rank, time.monotonic())
+        self.events.emit(
+            "rank_done", rank=rank, attempt=report.attempt,
+            tasks=report.stats.ntasks,
+        )
+
+    def recover_rank(self, rank: int, reason: str) -> None:
+        """Terminate the failed attempt, then retry it or reassign it inline."""
+        self.suspects.pop(rank, None)
+        # A retried or reassigned rank starts a fresh attempt: its
+        # straggler flag must not outlive the attempt it measured (a slow
+        # *second* attempt must be re-flaggable), and any relinquish in
+        # flight to the dead attempt is superseded.
+        self.flagged_stragglers.discard(rank)
+        self.outstanding_relinquish.pop(rank, None)
+        old = self.pool.process(rank)
+        if old is not None and old.is_alive():
+            # Still breathing (a stalled or wedged worker): put it down
+            # before its rank is re-executed anywhere else.
+            old.terminate()
+            old.join(timeout=1.0)
+        if self.attempts[rank] <= self.max_retries:
+            self.attempts[rank] += 1
+            self.m.retries.inc()
+            self.health.mark(rank, "retried")
+            self.events.emit(
+                "retry", rank=rank, attempt=self.attempts[rank] - 1, reason=reason
             )
-            for (i, j), tile in c.items():
-                out.set_tile(i, j, beta * tile)
+            self.spawn(rank)
+            self.scatter(rank, attempt=self.attempts[rank] - 1)
+        elif self.allow_reassign:
+            # The inline spare: the rank runtime called in-process, with no
+            # endpoint (no heartbeats, no relinquish polling) and never a
+            # fault — a re-armed kill would exit the coordinator.  Blocks
+            # stolen from the rank stay excluded.
+            self.attempts[rank] += 1
+            report = run_rank(self.rank_msg(rank, self.attempts[rank] - 1, None))
+            self.reports[rank] = report
+            self.pending.discard(rank)
+            # The dead retry's process start is not this report's.
+            self.spawn_clock.pop(rank, None)
+            if report.metrics is not None:
+                self.last_metrics[rank] = report.metrics
+            self.reassigned.append(rank)
+            self.m.reassigned.inc()
+            self.health.mark(rank, "reassigned")
+            self.events.emit("reassign", rank=rank, attempt=self.attempts[rank])
+        else:
+            raise DistExecutionError(
+                f"rank {rank} failed after {self.attempts[rank]} attempt(s): {reason}"
+            )
+
+    def abort_run(self, rank: int) -> None:
+        """The abort fault: the whole job is lost, not one rank.
+
+        No retry, no reassignment; whatever the journals captured is the
+        resume point.
+        """
+        self.events.emit("abort", rank=rank, attempt=self.attempts[rank] - 1)
+        raise DistExecutionError(
+            f"rank {rank} aborted (unrecoverable kill)"
+            + (
+                f"; resume by re-running with "
+                f"checkpoint_dir={self.checkpoint_dir!r}"
+                if self.checkpoint_dir is not None else ""
+            )
+        )
+
+    def drain_telemetry(self) -> None:
+        """Fold every queued heartbeat and block report into the run.
+
+        Protocol:
+            recv heartbeat: worker -> coordinator [telemetry]
+            recv block_done: worker -> coordinator [telemetry]
+        """
+        while True:
+            try:
+                src, msg, nbytes = self.coord.recv_telemetry()
+            except Empty:
+                return
+            self.comm_stats.absorb_telemetry({(src, COORDINATOR): nbytes})
+            if isinstance(msg, BlockDoneMsg):
+                self.fold_progress(msg)
+            else:
+                self.fold_health(msg)
+
+    def fold_progress(self, msg: BlockDoneMsg) -> None:
+        """Count one completed block of the live attempt."""
+        if msg.attempt != self.attempts.get(msg.rank, 0) - 1:
+            return  # a superseded attempt's block
+        self.m.blocks_completed.inc()
+        self.events.emit(
+            "block_done", rank=msg.rank, attempt=msg.attempt,
+            gpu=msg.gpu, block=msg.block, tasks=msg.ntasks,
+        )
+
+    def fold_health(self, hb) -> None:
+        """Fold one heartbeat into the live health picture."""
+        rh = self.health.ranks.get(hb.rank)
+        first = rh is not None and rh.first_beat is None
+        if not self.health.on_heartbeat(hb, time.monotonic()):
+            return  # late beat from a terminated attempt
+        self.m.heartbeats.inc()
+        if hb.metrics is not None:
+            self.last_metrics[hb.rank] = hb.metrics
+        if first:
+            self.events.emit("worker_up", rank=hb.rank, attempt=hb.attempt)
+        self.events.emit(
+            "heartbeat", rank=hb.rank, attempt=hb.attempt, seq=hb.seq,
+            tasks_done=hb.tasks_done, uptime=round(hb.uptime, 3),
+        )
+
+    def patrol(self) -> None:
+        """Dead-worker, stall, straggler and handoff checks between messages."""
+        now = time.monotonic()
+        for rank in sorted(self.pending):
+            proc = self.pool.process(rank)
+            if proc is None or proc.exitcode is None:
+                continue
+            if proc.exitcode == ABORT_EXIT_CODE:
+                self.abort_run(rank)
+            first = self.suspects.setdefault(rank, now)
+            if now - first >= _GRACE_SECONDS:
+                self.recover_rank(rank, f"worker exited with code {proc.exitcode}")
+        for rank in self.health.stalled_ranks(time.monotonic(), self.pending):
+            self.m.stalls.inc()
+            self.stalled.append(rank)
+            self.health.mark(rank, "stalled")
+            silent = time.monotonic() - self.health.ranks[rank].last_signal
+            self.events.emit(
+                "stall", rank=rank, attempt=self.attempts[rank] - 1,
+                silent_seconds=round(silent, 3),
+            )
+            self.recover_rank(
+                rank,
+                f"stalled: no heartbeat for {silent:.2f} s "
+                f"(> {self.stall_after_beats} x {self.heartbeat_interval} s)",
+            )
+        current = set(self.health.straggler_ranks(time.monotonic()))
+        for rank in sorted(current - self.flagged_stragglers):
+            self.flagged_stragglers.add(rank)
+            self.health.mark(rank, "straggler")
+            self.events.emit("straggler", rank=rank)
+            self.request_relinquish(rank)
+        for rank in sorted(self.flagged_stragglers - current):
+            # Recovery: the rank's windowed rate climbed back over the
+            # threshold (or it finished).  Clear the flag so a later
+            # slowdown re-flags it — a sticky flag would mute every
+            # straggler after its first offense.
+            self.flagged_stragglers.discard(rank)
+            rh = self.health.ranks.get(rank)
+            if rh is not None and rh.state == "straggler":
+                self.health.mark(rank, "running")
+                self.events.emit("straggler_recovered", rank=rank)
+        for hid in sorted(self.pending_handoffs):
+            h = self.pending_handoffs[hid]
+            if h["helper"] is None:
+                continue
+            proc = self.pool.process(h["helper"])
+            helper_dead = proc is None or proc.exitcode is not None
+            timed_out = now - h["started"] > _HANDOFF_TIMEOUT_SECONDS
+            if helper_dead or timed_out:
+                self.events.emit(
+                    "handoff_failed", handoff=hid, origin=h["origin"],
+                    helper=h["helper"],
+                    reason="helper died" if helper_dead else "timeout",
+                )
+                self.handoff_inline(hid)
+
+    def snapshot(self, state: str) -> None:
+        """Atomically refresh ``coordinator.json`` with live progress."""
+        if self.checkpoint_dir is None:
+            return
+        write_snapshot(self.checkpoint_dir, {
+            "v": 1, "state": state, "plan": self.plan_hash, "b": self.b_hash,
+            "run": self.run_hash, "alpha": float(self.alpha), "nranks": self.nranks,
+            "attempts": {str(r): a for r, a in self.attempts.items()},
+            "ranks": {
+                str(r): {
+                    "state": rh.state,
+                    "tasks_done": rh.tasks_done,
+                    "tasks_total": rh.tasks_total,
+                }
+                for r, rh in self.health.ranks.items()
+            },
+        })
+
+    # ---- rebalance ---------------------------------------------------------
+
+    def request_relinquish(self, rank: int) -> None:
+        """Ask a flagged straggler to yield its unstarted blocks.
+
+        At most one request per rank is in flight; the pin to the live
+        attempt lets the worker (and the supervise loop) discard a request
+        that raced a retry.
+
+        Protocol:
+            send relinquish: coordinator -> worker [data]
+        """
+        busy = rank in self.outstanding_relinquish or rank not in self.pending
+        if not self.rebalance or busy:
+            return
+        att = self.attempts[rank] - 1
+        self.outstanding_relinquish[rank] = att
+        self.coord.send(rank, RelinquishMsg(attempt=att))
+        self.m.rebalance_requests.inc()
+        self.events.emit("rebalance", rank=rank, attempt=att)
+
+    def pick_helper(self) -> int | None:
+        """A finished worker rank able to absorb a handoff, or ``None``.
+
+        Only ranks that reported *through the comm layer* qualify: an
+        inline-reassigned rank has no live worker process to send to.
+        """
+        alive = set(self.pool.alive_ranks())
+        return min((r for r in self.reports if r in alive), default=None)
+
+    def dispatch_handoff(self, origin: int, positions: tuple) -> None:
+        """Take ownership of acked blocks and hand them to a producer.
+
+        The blocks go to a finished helper rank, or run inline when none
+        is free.
+
+        Protocol:
+            send handoff: coordinator -> worker [data]
+        """
+        self.stolen_blocks.setdefault(origin, set()).update(positions)
+        moved = self.tasks_in(origin, positions)
+        rh = self.health.ranks.get(origin)
+        if rh is not None:
+            # The origin's denominator shrinks with its schedule, so
+            # progress fractions stay honest.
+            rh.tasks_total = max(0, rh.tasks_total - moved)
+        hid = self.next_handoff
+        self.next_handoff += 1
+        helper = self.pick_helper()
+        self.m.rebalance_handoffs.inc()
+        self.m.rebalance_blocks.inc(len(positions))
+        self.m.rebalance_tasks.inc(moved)
+        self.events.emit(
+            "handoff", handoff=hid, origin=origin, helper=helper,
+            blocks=len(positions), tasks=moved,
+        )
+        self.pending_handoffs[hid] = {
+            "origin": origin, "helper": helper,
+            "blocks": tuple(
+                (g, bi, self.plan.procs[origin].gpu_blocks(g)[bi])
+                for g, bi in positions
+            ),
+            "arena": None, "started": time.monotonic(),
+        }
+        if helper is None:
+            self.handoff_inline(hid)
+        else:
+            self.coord.send(helper, self.handoff_msg(hid))
+
+    def handoff_msg(self, hid: int) -> HandoffMsg:
+        """One handoff's message, writing into a fresh C arena.
+
+        Fresh on every call: a handoff redone after a helper failure must
+        not inherit the helper's arena, which may hold partial tiles.
+        """
+        h = self.pending_handoffs[hid]
+        h["arena"] = self._c_arena(f"h{hid}", (blk for _, _, blk in h["blocks"]))
+        return HandoffMsg(
+            handoff_id=hid, origin=h["origin"], blocks=h["blocks"],
+            c_meta=h["arena"].meta(), **self.msg_fields,
+        )
+
+    def handoff_inline(self, hid: int) -> None:
+        """Run one handoff through the rank runtime in-process.
+
+        The fallback producer: used when no helper rank is free, when the
+        chosen helper dies or reports failure mid-handoff, or when a
+        handoff times out.  Re-executing after a partial helper run is
+        safe — duplicate journal/store records are bit-identical and only
+        this inline result enters the reduction.
+        """
+        report = run_rank(self.handoff_msg(hid))
+        self.absorb_handoff(hid, None, report.c_index, report.stats)
+
+    def absorb_handoff(self, hid: int, helper, c_index: dict, stats) -> None:
+        """File a handoff's result as its own producer for the reduction."""
+        h = self.pending_handoffs.pop(hid)
+        self.handoff_results[hid] = (h["origin"], h["arena"], c_index, stats)
+        self.events.emit(
+            "handoff_done", handoff=hid, origin=h["origin"], helper=helper,
+            tasks=stats.ntasks,
+        )
+
+    # ---- reduce ------------------------------------------------------------
+
+    def reduce(self) -> tuple[BlockSparseMatrix, DistReport]:
+        """Seed ``beta*C``, fold every producer in, merge what was observed."""
+        plan, rec, reports = self.plan, self.rec, self.reports
+        out = BlockSparseMatrix(self.a.rows, plan.b_shape.cols)
+        if self.c is not None:
+            for (i, j), tile in self.c.items():
+                out.set_tile(i, j, self.beta * tile)
 
         # Every producer is an (arena, C index) pair: a rank (worker or
         # inline spare) or a handoff.  Handoffs reduce exactly like ranks:
@@ -1138,14 +1159,14 @@ def execute_plan_distributed(
         # blocks nor with any other rank — the one-producer check enforces
         # it (M407).
         producers = [
-            (f"rank {rank}", c_arenas[rank], reports[rank].c_index)
-            for rank in range(nranks)
+            (f"rank {rank}", self.c_arenas[rank], reports[rank].c_index)
+            for rank in range(self.nranks)
         ] + [
             (f"handoff {hid} of rank {origin}", arena, c_index)
-            for hid, (origin, arena, c_index, _) in sorted(handoff_results.items())
+            for hid, (origin, arena, c_index, _) in sorted(self.handoff_results.items())
         ]
         produced_by: dict[tuple[int, int], str] = {}
-        t_reduce = clock()
+        t_reduce = self.clock()
         for producer, arena, c_index in producers:
             for (i, j), entry in c_index.items():
                 prev = produced_by.setdefault((i, j), producer)
@@ -1155,19 +1176,19 @@ def execute_plan_distributed(
                     f"({prev}, {producer})",
                 )
                 out.accumulate_tile(i, j, arena.read(entry))
-        rec.record("reduce", "net.-1", t_reduce, clock())
+        rec.record("reduce", "net.-1", t_reduce, self.clock())
 
         # ---- merge stats / trace / comm / metrics -------------------------
         stats = NumericStats.merge(
-            [reports[rank].stats for rank in range(nranks)]
-            + [s for *_, s in handoff_results.values()]
+            [reports[rank].stats for rank in range(self.nranks)]
+            + [s for *_, s in self.handoff_results.values()]
         )
         run_trace = Trace()
         run_trace.extend(rec.spans)
         spans_dropped = rec.dropped
         span_counters: dict[str, float] = dict(rec.counters)
         counters: Counter = Counter()
-        for rank in range(nranks):
+        for rank in range(self.nranks):
             stream = reports[rank].spans
             if stream is not None:
                 # Re-base the rank's monotonic clock onto the coordinator's
@@ -1177,101 +1198,84 @@ def execute_plan_distributed(
                 spans_dropped += stream.dropped
                 for key, val in stream.counters.items():
                     span_counters[key] = span_counters.get(key, 0.0) + val
-                t_spawn = spawn_clock.get(rank)
+                t_spawn = self.spawn_clock.get(rank)
                 if stream.spans and t_spawn is not None and offset > t_spawn:
-                    # The measured process-startup window: proc.start() on
-                    # the coordinator's clock up to the worker recorder's
+                    # The measured process-startup window: the spawn on the
+                    # coordinator's clock up to the worker recorder's
                     # origin (its own spans begin at ~0).
                     run_trace.add(f"spawn.{rank}", f"cpu.{rank}", t_spawn, offset)
-                t_report = report_clock.get(rank)
+                t_report = self.report_clock.get(rank)
                 if stream.spans and t_report is not None:
                     # ... and the report-shipping window: the worker's last
                     # recorded span to the coordinator's receipt (report
                     # pickling + queue transfer).
                     last = max(e for _, _, _, e in stream.spans) + offset
                     if t_report > last:
-                        run_trace.add(
-                            f"report.{rank}", f"net.{rank}", last, t_report
-                        )
-            comm_stats.absorb(reports[rank].link_bytes)
+                        run_trace.add(f"report.{rank}", f"net.{rank}", last, t_report)
+            self.comm_stats.absorb(reports[rank].link_bytes)
             counters.update(reports[rank].counters)
-        comm_stats.absorb(coord.link_bytes, coord.messages)
-        registry.counter(
+        self.comm_stats.absorb(self.coord.link_bytes, self.coord.messages)
+        self.registry.counter(
             "repro_spans_dropped_total",
             "trace spans discarded at the recorder bound",
         ).inc(rec.dropped)
         merged_metrics = MetricsSnapshot.merge(
-            [last_metrics[r] for r in sorted(last_metrics)] + [registry.snapshot()]
-        ) if metrics else None
+            [self.last_metrics[r] for r in sorted(self.last_metrics)]
+            + [self.registry.snapshot()]
+        ) if self.metrics else None
 
         perf_model = None
-        if trace:
+        if self.trace:
             # The predicted-cost twin of the measured trace: cheap to build
-            # (reads stored plan aggregates) and what `repro explain` audits
-            # the run against.
+            # (reads stored plan aggregates) and what `repro explain`
+            # audits the run against.
             from repro.perf import PerfModel
 
             perf_model = PerfModel.from_plan(
-                plan, plan_hash=plan_hash or plan_fingerprint(plan)
+                plan, plan_hash=self.plan_hash or plan_fingerprint(plan)
             )
 
-        dist_report = DistReport(
+        blocks_rebalanced = sum(len(s) for s in self.stolen_blocks.values())
+        report = DistReport(
             stats=stats,
             trace=run_trace,
-            comm=comm_stats,
-            attempts=attempts,
-            reassigned=reassigned,
-            segments=[arena.name for arena in arenas],
+            comm=self.comm_stats,
+            attempts=self.attempts,
+            reassigned=self.reassigned,
+            segments=[arena.name for arena in self.arenas],
             b_max_instantiations=max(
-                (reports[r].b_max_instantiations for r in range(nranks)), default=0
+                (reports[r].b_max_instantiations for r in range(self.nranks)),
+                default=0,
             ),
-            nworkers=nranks,
+            nworkers=self.nranks,
             started_at=rec.wall_origin,
             spans_dropped=spans_dropped,
-            shm_bytes=sum(arena.used_bytes for arena in arenas),
+            shm_bytes=sum(arena.used_bytes for arena in self.arenas),
             metrics=merged_metrics,
-            health=health,
-            events_path=events.path,
-            stalled=stalled,
-            checkpoint_dir=checkpoint_dir,
-            run_hash=run_hash,
-            plan_hash=plan_hash,
-            handoffs=len(handoff_results),
-            blocks_rebalanced=sum(len(s) for s in stolen_blocks.values()),
-            tasks_rebalanced=sum(stolen_tasks(r) for r in stolen_blocks),
+            health=self.health,
+            events_path=self.events.path,
+            stalled=self.stalled,
+            checkpoint_dir=self.checkpoint_dir,
+            run_hash=self.run_hash,
+            plan_hash=self.plan_hash,
+            handoffs=len(self.handoff_results),
+            blocks_rebalanced=blocks_rebalanced,
+            tasks_rebalanced=sum(
+                self.tasks_in(r, s) for r, s in self.stolen_blocks.items()
+            ),
             model=perf_model,
             span_counters=span_counters,
-            run_id=run_id,
+            run_id=self.run_id,
             **counters,
         )
-        events.emit(
+        self.events.emit(
             "done",
             ntasks=stats.ntasks,
-            heartbeats=health.heartbeats,
-            retried=sorted(r for r, a in attempts.items() if a > 1),
-            stalled=sorted(set(stalled)),
-            reassigned=sorted(reassigned),
-            handoffs=len(handoff_results),
-            blocks_rebalanced=sum(len(s) for s in stolen_blocks.values()),
+            heartbeats=self.health.heartbeats,
+            retried=sorted(r for r, a in self.attempts.items() if a > 1),
+            stalled=sorted(set(self.stalled)),
+            reassigned=sorted(self.reassigned),
+            handoffs=report.handoffs,
+            blocks_rebalanced=blocks_rebalanced,
         )
-        return out, dist_report
-    finally:
-        events.close()
-        if coord_store is not None:
-            coord_store.close()
-        if pool is None:
-            # One-shot run: the coordinator owns the processes and the
-            # comm layer, so it tears both down.  A borrowed pool stays
-            # warm — its owner (the serving layer) decides when workers
-            # die, and resets the pool itself after a failed run.
-            for proc in workers.values():
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join(timeout=2.0)
-        for arena in arenas:
-            arena.unlink()
-        if pool is None:
-            try:
-                comm.close()
-            except Exception:  # pragma: no cover - queue teardown best-effort
-                pass
+        return out, report

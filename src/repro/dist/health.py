@@ -477,7 +477,5 @@ def _replay_event(health: RunHealth, ev: dict) -> None:
     elif kind == "reassign" and rank is not None:
         health.mark(int(rank), "reassigned")
     elif kind == "rank_done" and rank is not None:
-        rh = health.ranks.get(int(rank))
-        if rh is not None:
-            rh.state = "done"
-            rh.tasks_done = int(ev.get("tasks", rh.tasks_done))
+        # As live: done is 100 %, however few tasks ran (rebalanced/resumed).
+        health.on_done(int(rank), t)

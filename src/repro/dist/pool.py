@@ -1,16 +1,13 @@
-"""Warm worker pool: process lifecycle split out of the coordinator.
+"""Worker pool: the one owner of worker processes.
 
-Historically :func:`repro.dist.coordinator.execute_plan_distributed`
-owned its worker processes — spawned at run start, terminated in the
-run's ``finally`` — so every contraction paid process startup, and
-nothing could be reused across runs.  :class:`WorkerPool` inverts that:
-it owns the :class:`~repro.dist.comm.CommLayer` and one
+:class:`WorkerPool` owns the :class:`~repro.dist.comm.CommLayer` and one
 :func:`~repro.dist.worker.worker_main` process per rank for as long as
-the *caller* wants, and the coordinator merely borrows them for one run
+the *caller* wants; a run merely borrows them
 (``execute_plan_distributed(..., pool=...)``).  The serving layer
-(:mod:`repro.serve`) keeps one pool warm across many jobs; passing no
-pool reproduces the classic one-shot behaviour exactly (the coordinator
-creates a private pool and closes it in its ``finally``).
+(:mod:`repro.serve`) keeps one pool warm across many jobs.  A run given
+no pool creates a private one and closes it in its ``finally``, so a
+one-shot run spawns, supervises and tears down its workers through the
+very same code.
 
 Division of labour — deliberate, so the protocol surface stays where the
 conformance pass (M410-M412) audits it:
@@ -97,7 +94,7 @@ class WorkerPool:
         )
         proc = self.ctx.Process(
             target=worker_main,
-            args=(rank, self.comm.endpoint(rank), cache, True),
+            args=(rank, self.comm.endpoint(rank), cache),
             daemon=True,
         )
         # Workers inherit the parent's resource tracker only if it is

@@ -409,7 +409,6 @@ def run_rank(
     msg: ScatterMsg | HandoffMsg,
     *,
     origin: float | None = None,
-    recv_done: float | None = None,
     endpoint: Endpoint | None = None,
     tile_cache=None,
 ) -> WorkerReport:
@@ -429,9 +428,9 @@ def run_rank(
     would have produced; it journals into a ``.h<id>`` sidecar, which is
     what lets a resumed run replay the ownership transfer transparently.
 
-    ``origin``/``recv_done`` are monotonic instants bracketing the inbox
-    wait in :func:`worker_main`; the recorder's clock is rooted at
-    ``origin`` so the wait appears as the rank's first span.  ``endpoint``
+    ``origin`` is the monotonic instant the inbox wait of
+    :func:`worker_main` began; the recorder's clock is rooted there, so
+    the wait up to this call appears as the rank's first span.  ``endpoint``
     carries heartbeats, block-done reports and relinquish acks; without
     one (or with ``msg.heartbeat_interval <= 0``) the rank runs silently.
     ``tile_cache`` is a serving pool's process-lifetime warm B-tile cache
@@ -444,8 +443,8 @@ def run_rank(
         rank, job = msg.proc.rank, msg
         blocks, journal_suffix = proc_blocks(msg.proc, msg.gpus_per_proc), ""
     rec = SpanRecorder(enabled=job.trace, max_spans=job.max_spans, origin=origin)
-    if job.trace and origin is not None and recv_done is not None:
-        rec.record("inbox.wait", f"net.{rank}", 0.0, recv_done - origin)
+    if origin is not None:
+        rec.record("inbox.wait", f"net.{rank}", 0.0, rec.now())
     registry = MetricsRegistry(enabled=job.metrics)
     progress = _Progress()
 
@@ -691,8 +690,7 @@ def run_rank(
             arena.close()
 
 
-def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
-                pooled: bool = False) -> None:
+def worker_main(rank: int, endpoint: Endpoint, tile_cache=None) -> None:
     """Process entry point: a dispatch loop over coordinator messages.
 
     The first message is normally this rank's :class:`ScatterMsg`; after
@@ -704,11 +702,15 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
     rank's completion or respawn — it is acked empty so the coordinator
     can retire the request.
 
-    Pooled lifetime: under a :class:`~repro.dist.pool.WorkerPool`
-    (``pooled=True``) the same loop serves one :class:`ScatterMsg` *per
-    job*, process outliving run; ``tile_cache`` (pickled empty at spawn,
-    populated here) is the process-lifetime warm B-tile cache that makes
-    job N+1 over the same B fingerprint start hot.  Any unrecognised
+    Pooled lifetime: every worker belongs to a
+    :class:`~repro.dist.pool.WorkerPool` (a one-shot run's private pool
+    included), and the same loop serves one :class:`ScatterMsg` *per
+    job*, the process outliving the run; ``tile_cache`` (pickled empty at
+    spawn, populated here) is the process-lifetime warm B-tile cache that
+    makes job N+1 over the same B fingerprint start hot.  The process's
+    first scatter is traced from its spawn, so startup shows as the
+    rank's ``inbox.wait``; every later one from its receipt, so idle time
+    between jobs never bleeds into a job's trace.  Any unrecognised
     directive — the serving layer's shutdown pill included — exits the
     loop quietly.
 
@@ -728,24 +730,17 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None,
     as a ``handoff_done`` with a ``None`` C index — the coordinator
     re-executes those blocks on its inline spare.
     """
-    t_spawn = time.monotonic()
+    origin: float | None = time.monotonic()  # the first scatter's root
     attempt = -1
     try:
         while True:
             _, msg, _ = endpoint.recv()
             if isinstance(msg, ScatterMsg):
                 attempt = msg.attempt
-                # A pooled worker roots each job's trace at scatter
-                # receipt: its idle stretch between jobs (and every
-                # previous job's spans) must not bleed into this job's
-                # inbox-wait accounting.  One-shot workers keep the
-                # spawn-rooted origin so process startup stays visible.
                 report = run_rank(
-                    msg,
-                    origin=None if pooled else t_spawn,
-                    recv_done=None if pooled else time.monotonic(),
-                    endpoint=endpoint, tile_cache=tile_cache,
+                    msg, origin=origin, endpoint=endpoint, tile_cache=tile_cache
                 )
+                origin = None  # later scatters are rooted at receipt
                 endpoint.send(COORDINATOR, ("done", rank, report))
             elif isinstance(msg, RelinquishMsg):
                 endpoint.send(

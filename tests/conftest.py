@@ -9,6 +9,7 @@ deeper fuzzing pass.
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -23,3 +24,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(scope="session")
+def clean_protocol_sweep():
+    """The default model-check sweep of the shipped protocol, run once.
+
+    The sweep takes ~20 s.  The model-checker test asserts on it directly
+    and the ``repro analyze --model-check`` CLI test is served the same
+    result, so the session explores the protocol exactly once.
+    """
+    from repro.analysis.protocol import build_protocol_model, check_protocol
+
+    return check_protocol(build_protocol_model())

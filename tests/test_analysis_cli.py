@@ -87,9 +87,21 @@ class TestSarifExport:
 
 
 class TestModelCheckCommand:
-    def test_analyze_model_check_passes_clean(self, capsys):
+    def test_analyze_model_check_passes_clean(
+        self, capsys, monkeypatch, clean_protocol_sweep
+    ):
         """The shipped protocol model-checks clean from the CLI — the same
-        gate `make model-check` runs in CI."""
+        gate `make model-check` runs in CI.  The CLI is served the
+        session's default sweep instead of exploring it a second time."""
+        import repro.analysis as analysis
+        from repro.analysis.protocol import build_protocol_model, default_scenarios
+
+        def default_sweep(model, scenarios):
+            assert model == build_protocol_model()
+            assert scenarios == default_scenarios()
+            return clean_protocol_sweep
+
+        monkeypatch.setattr(analysis, "check_protocol", default_sweep)
         assert main(["analyze", "--procs", "2", "--nodes", "2",
                      "--model-check"]) == 0
         out = capsys.readouterr().out

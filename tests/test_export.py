@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.experiments import export
 from repro.experiments.export import (
     export_all,
     fig2_data,
@@ -9,6 +12,28 @@ from repro.experiments.export import (
     scaling_data,
     table1_data,
 )
+
+
+@pytest.fixture(scope="module")
+def quick_fig2():
+    """``fig2_data`` memoized for this module.
+
+    The quick Fig. 2 sweep takes ~10 s and three tests need it: directly,
+    through ``export_all`` and through the ``export`` CLI.  The memo is
+    patched into the export module, so the last two still run their full
+    code paths and only the sweep itself is computed once.
+    """
+    results = {}
+
+    def memo(scale="quick", seed=0, with_dbcsr=True):
+        key = (scale, seed, with_dbcsr)
+        if key not in results:
+            results[key] = fig2_data(scale=scale, seed=seed, with_dbcsr=with_dbcsr)
+        return results[key]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(export, "fig2_data", memo)
+        yield memo
 
 
 class TestExport:
@@ -19,8 +44,8 @@ class TestExport:
             assert v["tasks"] >= v["tasks_opt"] > 0
             assert 0 < v["density_v"] < 1
 
-    def test_fig2_points(self):
-        pts = fig2_data(scale="quick")
+    def test_fig2_points(self, quick_fig2):
+        pts = quick_fig2(scale="quick")
         assert len(pts) == 15  # 3 sizes x 5 densities
         for p in pts:
             assert p["parsec_tflops"] > 0
@@ -41,7 +66,7 @@ class TestExport:
         assert [r["nodes"] for r in rows] == [8, 16]
         assert all(r["speedup"] > 1 for r in rows)
 
-    def test_export_all_roundtrip(self, tmp_path):
+    def test_export_all_roundtrip(self, tmp_path, quick_fig2):
         path = str(tmp_path / "out.json")
         data = export_all(path, gpu_counts=(3, 12))
         with open(path) as f:
@@ -50,7 +75,7 @@ class TestExport:
         assert back["table1"].keys() == data["table1"].keys()
         assert len(back["fig2"]) == len(data["fig2"])
 
-    def test_export_cli(self, tmp_path, capsys):
+    def test_export_cli(self, tmp_path, capsys, quick_fig2):
         from repro.cli import main
 
         out = str(tmp_path / "r.json")

@@ -359,6 +359,9 @@ class TestReplay:
             ("heartbeat", dict(rank=0, attempt=0, seq=1, tasks_done=3)),
             ("heartbeat", dict(rank=1, attempt=0, seq=0, tasks_done=0)),
             ("rank_done", dict(rank=0, attempt=0, tasks=6)),
+            # A rebalanced or resumed rank executes fewer tasks than planned.
+            ("scatter", dict(rank=2, attempt=0, tasks_total=5)),
+            ("rank_done", dict(rank=2, attempt=0, tasks=3)),
         ])
         health = replay_health(events)
         assert health.heartbeat_interval == 0.1
@@ -367,6 +370,9 @@ class TestReplay:
         assert health.ranks[1].state == "up"
         assert health.ranks[1].tasks_total == 4
         assert health.heartbeats == 3
+        # Finished reads as 100 %, exactly as the live RunHealth.on_done.
+        assert health.ranks[2].state == "done"
+        assert health.ranks[2].progress == 1.0
 
     def test_replay_stall_retry_reassign_excursion(self, tmp_path):
         events = self._log(tmp_path, [

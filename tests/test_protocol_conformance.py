@@ -34,6 +34,19 @@ class TestRealTree:
         assert report.ok, report.render()
         assert report.files_scanned >= 5  # the whole dist package was read
 
+    def test_coordinator_actions_name_run_methods(self, model):
+        """Every coordinator action of the model is a method of the run
+        object, so the model and the code stay named alike."""
+        from repro.dist.coordinator import _Run
+
+        actions = {
+            t.action for t in model.machines[COORDINATOR_ROLE].transitions
+            if t.action and t.action != "discard"
+        }
+        assert actions  # the machine really declares actions
+        missing = sorted(a for a in actions if not callable(getattr(_Run, a, None)))
+        assert not missing, f"model actions without a _Run method: {missing}"
+
     def test_model_with_phantom_message_drifts(self, model):
         """A message the code never implements is flagged (M411)."""
         phantom = MsgSpec("phantom", WORKER_ROLE, COORDINATOR_ROLE,

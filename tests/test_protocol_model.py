@@ -26,9 +26,9 @@ def model():
 
 
 class TestCleanProtocol:
-    def test_default_sweep_is_clean(self, model):
+    def test_default_sweep_is_clean(self, clean_protocol_sweep):
         """The shipped protocol survives every small-scope fault schedule."""
-        result = check_protocol(model)
+        result = clean_protocol_sweep
         assert result.ok, result.report.render()
         assert result.scenarios >= 40  # 2 ranks x ckpt x fault kinds + resumes
         assert result.states > 10_000  # genuinely exhaustive, not a smoke run

@@ -303,13 +303,12 @@ class TestContractionService:
 
 # ---- resource lifecycle of a pool started before any segment exists -------
 
-#: A pool started before the first shared-memory segment (the service's
-#: order), three pooled jobs, then close; prints the process id that names
-#: its segments.
-POOL_PROBE = textwrap.dedent("""
+#: Small operands plus a 2-rank plan; each lifecycle case appends its runs
+#: and the probe prints the process id that names its segments.
+PROBE_SETUP = textwrap.dedent("""
     import os
     from repro.core import inspect
-    from repro.dist import WorkerPool, execute_plan_distributed
+    from repro.dist import FaultPlan, WorkerPool, execute_plan_distributed
     from repro.machine import summit
     from repro.sparse import random_block_sparse
     from repro.tiling import random_tiling
@@ -319,22 +318,39 @@ POOL_PROBE = textwrap.dedent("""
     a = random_block_sparse(rows, inner, 0.5, seed=2)
     b = random_block_sparse(inner, inner, 0.5, seed=3)
     plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
-    pool = WorkerPool(plan.grid.nprocs)
-    pool.start()
-    for _ in range(3):
-        execute_plan_distributed(plan, a, b, pool=pool)
-    pool.close()
-    print(os.getpid())
 """)
+
+#: case -> its runs.  ``pooled``: a pool started before the first
+#: shared-memory segment (the service's order), three jobs, then close.
+#: ``cold``: one one-shot run.  ``cold-kill``: a one-shot run whose rank 1
+#: is killed once and retried in a fresh process.
+PROBE_RUNS = {
+    "pooled": """
+pool = WorkerPool(plan.grid.nprocs)
+pool.start()
+for _ in range(3):
+    execute_plan_distributed(plan, a, b, pool=pool)
+pool.close()
+""",
+    "cold": """
+execute_plan_distributed(plan, a, b)
+""",
+    "cold-kill": """
+_, rep = execute_plan_distributed(plan, a, b, fault_plan=FaultPlan.kill(1, 3))
+assert rep.attempts[1] == 2, rep.attempts
+""",
+}
 
 
 @pytest.mark.dist
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs POSIX shm")
-def test_pool_workers_share_the_parent_resource_tracker():
+@pytest.mark.parametrize("case", sorted(PROBE_RUNS))
+def test_pool_workers_share_the_parent_resource_tracker(case):
     """Workers spawned before any segment exists must use the parent's
     resource tracker.  With trackers of their own, closing the pool makes
     each worker's tracker unlink the coordinator's (already unlinked)
-    segments, which shows as ``resource_tracker`` warnings on stderr."""
+    segments, which shows as ``resource_tracker`` warnings on stderr.
+    One-shot runs, retried ones included, go through the same pool."""
     import repro
 
     src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -342,8 +358,9 @@ def test_pool_workers_share_the_parent_resource_tracker():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    probe = PROBE_SETUP + PROBE_RUNS[case] + "print(os.getpid())\n"
     proc = subprocess.run(
-        [sys.executable, "-c", POOL_PROBE], capture_output=True, text=True,
+        [sys.executable, "-c", probe], capture_output=True, text=True,
         timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
@@ -352,3 +369,37 @@ def test_pool_workers_share_the_parent_resource_tracker():
     assert not [
         n for n in os.listdir("/dev/shm") if n.startswith(f"psgemm-{pid}-")
     ]
+
+
+# ---- where a worker's trace starts -----------------------------------------
+
+
+def _inbox_waits(report):
+    return sorted(
+        int(e.resource.split(".")[1])
+        for e in report.trace.events if e.task == "inbox.wait"
+    )
+
+
+@pytest.mark.dist
+def test_first_scatter_of_a_process_is_traced_from_its_spawn(problem):
+    """A process traces its first scatter from its own spawn (startup shows
+    as ``inbox.wait``) and every later one from receipt, whether the run is
+    one-shot or pooled.  Only a borrowed pool fingerprints the operands."""
+    from repro.dist import WorkerPool, execute_plan_distributed
+
+    plan, a, b, _ = problem
+    ranks = list(range(plan.grid.nprocs))
+    _, cold = execute_plan_distributed(plan, a, b.empty_clone())
+    assert _inbox_waits(cold) == ranks
+    assert cold.run_hash == ""  # a private pool never hashes B
+    pool = WorkerPool(plan.grid.nprocs)
+    try:
+        _, first = execute_plan_distributed(plan, a, b.empty_clone(), pool=pool)
+        _, second = execute_plan_distributed(plan, a, b.empty_clone(), pool=pool)
+        assert pool.spawns == len(ranks)  # the second job reused the processes
+    finally:
+        pool.close()
+    assert _inbox_waits(first) == ranks
+    assert _inbox_waits(second) == []
+    assert first.run_hash and second.run_hash == first.run_hash
