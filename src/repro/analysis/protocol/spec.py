@@ -36,7 +36,7 @@ Reading guide, message by message (the names match the docstring
   :class:`~repro.dist.comm.HandoffMsg` shipping reclaimed blocks to a
   finished helper rank.
 * ``handoff_done`` — worker -> coordinator, data channel.  The helper's
-  result (C index + stats), or a failure marker that sends the blocks
+  whole worker report, or a failure marker that sends the blocks
   to the coordinator's inline spare.
 
 Stale variants (``recv:<msg>:stale``) cover traffic from superseded

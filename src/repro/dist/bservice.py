@@ -40,9 +40,10 @@ spawns, and statically in the plan verifier (rule ``P114``).
 
 Observability: pass a :class:`~repro.runtime.tracing.SpanRecorder` and the
 service records one ``gen.<k>.<j>`` span per instantiation on the rank's
-``cpu.<rank>`` resource (the simulator's B-generation vocabulary) plus
-hit/miss/eviction counters surfaced through
-:class:`~repro.dist.DistReport`.
+``cpu.<rank>`` resource (the simulator's B-generation vocabulary).  Pass a
+:class:`~repro.runtime.metrics.MetricsRegistry` and it counts hits,
+misses, store-tier hits and evictions as ``repro_b_service_*`` metrics,
+which :class:`~repro.dist.DistReport` reads from the merged snapshot.
 """
 
 from __future__ import annotations
@@ -89,9 +90,6 @@ class BService:
         self._mem = GpuMemory(budget_bytes)
         self._lru: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
         self.instantiations: Counter = Counter()
-        self.hits = 0
-        self.lru_evictions = 0
-        self.store_hits = 0
         self._store = store
         self._store_ns = store_ns
         self._rec = recorder
@@ -101,6 +99,10 @@ class BService:
         )
         self._m_misses = registry.counter(
             "repro_b_service_misses_total", "B-tile instantiations (cache misses)"
+        )
+        self._m_store_hits = registry.counter(
+            "repro_b_service_store_hits_total",
+            "B tiles read from a store tier instead of generated",
         )
         self._m_evictions = registry.counter(
             "repro_b_service_evictions_total", "B-tile LRU evictions"
@@ -120,7 +122,6 @@ class BService:
         hit = self._lru.get(key)
         if hit is not None:
             self._lru.move_to_end(key)
-            self.hits += 1
             self._m_hits.inc()
             return hit
         rec = self._rec
@@ -136,7 +137,7 @@ class BService:
         if self._store is not None:
             data = self._store.get(self._store_ns, key)
             if data is not None:
-                self.store_hits += 1
+                self._m_store_hits.inc()
         if data is None:
             data = self._col.generate_tile(k, j)
             if timed:
@@ -153,7 +154,6 @@ class BService:
         while self._lru and self._mem.free < data.nbytes:
             old, _ = self._lru.popitem(last=False)
             self._mem.release(f"b{old}")
-            self.lru_evictions += 1
             self._m_evictions.inc()
         self._mem.reserve(f"b{key}", data.nbytes)
         self._lru[key] = data
@@ -225,8 +225,6 @@ class ArenaBSource:
     def __init__(self, arena, metrics: MetricsRegistry | None = None):
         self._arena = arena
         self._pulled: set[tuple[int, int]] = set()
-        self.hits = 0
-        self.lru_evictions = 0
         registry = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self._m_hits = registry.counter(
             "repro_b_service_hits_total", "B-tile cache hits"
@@ -243,7 +241,6 @@ class ArenaBSource:
 
     def tile(self, proc: int, k: int, j: int) -> np.ndarray:
         if (k, j) in self._pulled:
-            self.hits += 1
             self._m_hits.inc()
         else:
             self._pulled.add((k, j))

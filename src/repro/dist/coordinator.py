@@ -61,7 +61,6 @@ span streams.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -124,9 +123,36 @@ class DistExecutionError(RuntimeError):
     """The distributed run could not complete (even after recovery)."""
 
 
+#: The run counters of :class:`DistReport`: attribute -> the metric of the
+#: merged snapshot it reads.  ``b_store_hits`` counts B tiles served from
+#: any store tier (warm in-process cache or disk) instead of generated —
+#: nonzero on a warm pooled run's repeat job; ``b_max_instantiations`` is
+#: a max-merged gauge (the paper's once-per-rank invariant: 1).
+REPORT_COUNTERS = {
+    "b_hits": "repro_b_service_hits_total",
+    "b_evictions": "repro_b_service_evictions_total",
+    "b_store_hits": "repro_b_service_store_hits_total",
+    "b_max_instantiations": "repro_b_service_max_instantiations",
+    "store_hits": "repro_store_hits_total",
+    "store_misses": "repro_store_misses_total",
+    "store_puts": "repro_store_puts_total",
+    "blocks_restored": "repro_checkpoint_blocks_restored_total",
+    "tasks_skipped": "repro_checkpoint_tasks_skipped_total",
+    "spans_dropped": "repro_spans_dropped_total",
+    "handoffs": "repro_rebalance_handoffs_total",
+    "blocks_rebalanced": "repro_rebalance_blocks_reclaimed_total",
+    "tasks_rebalanced": "repro_rebalance_tasks_moved_total",
+}
+
+
 @dataclass
 class DistReport:
-    """Everything observed about one distributed run."""
+    """Everything observed about one distributed run.
+
+    Its run counters (the keys of :data:`REPORT_COUNTERS`) are read-only
+    attributes over :attr:`metrics`, the merge of every producer's and the
+    coordinator's registry snapshot.
+    """
 
     stats: NumericStats
     trace: Trace
@@ -134,36 +160,21 @@ class DistReport:
     attempts: dict[int, int]
     reassigned: list[int]
     segments: list[str]
-    b_max_instantiations: int = 0
+    metrics: MetricsSnapshot
     nworkers: int = 0
     started_at: float = 0.0  # wall-clock stamp, labeling only
-    b_hits: int = 0
-    b_evictions: int = 0
-    spans_dropped: int = 0
     shm_bytes: int = 0
-    metrics: MetricsSnapshot | None = None
     health: RunHealth | None = None
     events_path: str | None = None
     stalled: list[int] = field(default_factory=list)
     checkpoint_dir: str | None = None
     run_hash: str = ""
     plan_hash: str = ""
-    blocks_restored: int = 0
-    tasks_skipped: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
-    store_puts: int = 0
-    #: B tiles served from any cache tier (warm in-process or disk)
-    #: instead of generated — nonzero on a warm pooled run's repeat job.
-    b_store_hits: int = 0
-    handoffs: int = 0
-    blocks_rebalanced: int = 0
-    tasks_rebalanced: int = 0
     #: Predicted-cost model of the executed plan (when tracing was on);
     #: feeds :meth:`audit` and ``repro explain``.
     model: "PerfModel | None" = None
-    #: Merged recorder counters from every rank (dropped.<resource>
-    #: seconds, bytes.* accumulators, B-service hit counts, ...).
+    #: Merged recorder counters from every rank: ``dropped.<resource>``
+    #: seconds of busy time lost at the span bound.
     span_counters: dict[str, float] = field(default_factory=dict)
     #: Run identifier the caller scoped this run's artifacts under
     #: (``None`` for unscoped one-shot runs).
@@ -298,6 +309,14 @@ class DistReport:
         )
 
 
+for _attr, _metric in REPORT_COUNTERS.items():
+    setattr(DistReport, _attr, property(
+        lambda self, _metric=_metric: int(self.metrics.get(_metric)),
+        doc=f"``{_metric}`` of the merged :attr:`DistReport.metrics`.",
+    ))
+del _attr, _metric
+
+
 def execute_plan_distributed(
     plan: ExecutionPlan,
     a: BlockSparseMatrix,
@@ -317,7 +336,6 @@ def execute_plan_distributed(
     heartbeat_interval: float = 0.25,
     stall_after_beats: int = 8,
     straggler_fraction: float = 0.25,
-    metrics: bool = True,
     events_path: str | None = None,
     checkpoint_dir: str | None = None,
     store_dir: str | None = None,
@@ -338,17 +356,21 @@ def execute_plan_distributed(
     raises :class:`repro.analysis.PlanVerificationError` on any finding —
     a corrupted plan is rejected before a single worker process spawns or
     a single shared-memory segment is created.  ``trace=False`` disables
-    span recording end to end (no clock reads in the workers' hot loops);
-    the numeric result is identical either way.
+    span recording end to end; the numeric result is identical either
+    way.
 
     Live telemetry: with a positive ``heartbeat_interval`` every worker
     beats on the out-of-band telemetry channel; a rank silent for
     ``stall_after_beats`` intervals (plus a startup grace before its
     first beat) is treated exactly like a crashed one — terminated,
     retried, then reassigned.  ``heartbeat_interval=0`` disables both
-    heartbeats and stall detection.  ``metrics`` ships a cumulative
-    :class:`~repro.runtime.metrics.MetricsSnapshot` with each beat and
-    report; the merged run-wide snapshot lands in ``report.metrics``.
+    heartbeats and stall detection.  Every producer counts into its own
+    :class:`~repro.runtime.metrics.MetricsRegistry` and ships its
+    :class:`~repro.runtime.metrics.MetricsSnapshot` with its report; the
+    merge of the final reports' snapshots (ranks and handoffs) and the
+    coordinator's lands in ``report.metrics``, and the report's run
+    counters (``b_hits``, ``store_puts``, ``handoffs``, ...) are read
+    from it.
     ``events_path`` appends the run's life-cycle (``plan_accepted``,
     ``worker_up``, ``heartbeat``, ``stall``, ``reassign``, ``done``, ...)
     as JSONL — the file ``repro monitor`` tails.  A ``run_id`` scopes the
@@ -450,7 +472,7 @@ def execute_plan_distributed(
         allow_reassign=allow_reassign, timeout=timeout, trace=trace,
         trace_max_spans=trace_max_spans, heartbeat_interval=heartbeat_interval,
         stall_after_beats=stall_after_beats, straggler_fraction=straggler_fraction,
-        metrics=metrics, events_path=events_path, checkpoint_dir=checkpoint_dir,
+        events_path=events_path, checkpoint_dir=checkpoint_dir,
         store_dir=store_dir, store_budget_bytes=store_budget_bytes,
         snapshot_interval=snapshot_interval, rebalance=rebalance, run_id=run_id,
     ).execute()
@@ -510,7 +532,6 @@ class _Run:
     heartbeat_interval: float
     stall_after_beats: int
     straggler_fraction: float
-    metrics: bool
     events_path: str | None
     checkpoint_dir: str | None
     store_dir: str | None
@@ -553,7 +574,7 @@ class _Run:
         # clock and the alignment anchor for every rank's span stream.
         self.rec = SpanRecorder(enabled=self.trace, max_spans=self.trace_max_spans)
         self.clock = self.rec.now
-        self.registry = MetricsRegistry(enabled=self.metrics)
+        self.registry = MetricsRegistry()
         self.m = SimpleNamespace(**{
             attr: self.registry.counter(name, help_)
             for attr, (name, help_) in _RUN_COUNTERS.items()
@@ -582,9 +603,6 @@ class _Run:
         self.stalled: list[int] = []
         #: rank -> monotonic instant its process was first seen dead.
         self.suspects: dict[int, float] = {}
-        #: The freshest cumulative MetricsSnapshot per rank — heartbeats
-        #: update it live, the rank's final report supersedes them.
-        self.last_metrics: dict[int, MetricsSnapshot] = {}
 
         # ---- rebalance state ---------------------------------------------
         #: Block positions reclaimed from each rank, cumulative across its
@@ -596,7 +614,7 @@ class _Run:
         self.outstanding_relinquish: dict[int, int] = {}
         #: handoff id -> dispatch record (origin, helper, blocks, arena).
         self.pending_handoffs: dict[int, dict] = {}
-        #: handoff id -> (origin, C arena, C index, stats) for the reduction.
+        #: handoff id -> (origin, C arena, report) for the reduction.
         self.handoff_results: dict[int, tuple] = {}
         self.next_handoff = 0
 
@@ -708,7 +726,7 @@ class _Run:
             gpus_per_proc=plan.grid.gpus_per_proc,
             c_meta=self.c_arenas[rank].meta(), fault=fault, attempt=attempt,
             trace=self.trace, max_spans=self.trace_max_spans,
-            heartbeat_interval=self.heartbeat_interval, metrics=self.metrics,
+            heartbeat_interval=self.heartbeat_interval,
             completed=completed, excluded=tuple(sorted(stolen)),
             rebalance=self.rebalance, **self.msg_fields,
         )
@@ -729,13 +747,11 @@ class _Run:
             inj = None
         msg = self.rank_msg(rank, attempt, inj)
         t_send = self.clock()
-        sent = self.coord.send(rank, msg)
+        self.coord.send(rank, msg)
         self.rec.record(f"scatter.{rank}", f"net.{rank}", t_send, self.clock())
-        self.rec.count("bytes.scatter", sent)
         planned = self.plan.procs[rank].ntasks
         stolen = self.tasks_in(rank, self.stolen_blocks.get(rank, ()))
         self.health.on_scatter(rank, planned - stolen, attempt, time.monotonic())
-        self.last_metrics.pop(rank, None)  # a fresh attempt restarts its counters
         self.events.emit("scatter", rank=rank, attempt=attempt, tasks_total=planned)
 
     # ---- supervise ---------------------------------------------------------
@@ -823,8 +839,8 @@ class _Run:
                     return
             detail = {"attempt": att}
         elif kind == "handoff_done":
-            # msg = ("handoff_done", rank, hid, c_index, stats); c_index
-            # None flags a helper-side failure -> redo inline.  A handoff
+            # msg = ("handoff_done", rank, hid, report); a None report
+            # flags a helper-side failure -> redo inline.  A handoff
             # already resolved (timed out and redone inline) is stale.
             hid, h = msg[2], self.pending_handoffs.get(msg[2])
             if h is not None and msg[3] is None:
@@ -834,7 +850,7 @@ class _Run:
                 )
                 return self.handoff_inline(hid)
             if h is not None:
-                return self.absorb_handoff(hid, rank, msg[3], msg[4])
+                return self.absorb_handoff(hid, rank, msg[3])
             detail = {"handoff": hid}
         else:  # pragma: no cover - unknown message kind
             raise DistExecutionError(f"unexpected message {kind!r} from rank {rank}")
@@ -850,8 +866,6 @@ class _Run:
         # (M408) and retires its straggler flag.
         self.outstanding_relinquish.pop(rank, None)
         self.flagged_stragglers.discard(rank)
-        if report.metrics is not None:
-            self.last_metrics[rank] = report.metrics
         self.health.on_done(rank, time.monotonic())
         self.events.emit(
             "rank_done", rank=rank, attempt=report.attempt,
@@ -893,8 +907,6 @@ class _Run:
             self.pending.discard(rank)
             # The dead retry's process start is not this report's.
             self.spawn_clock.pop(rank, None)
-            if report.metrics is not None:
-                self.last_metrics[rank] = report.metrics
             self.reassigned.append(rank)
             self.m.reassigned.inc()
             self.health.mark(rank, "reassigned")
@@ -955,8 +967,6 @@ class _Run:
         if not self.health.on_heartbeat(hb, time.monotonic()):
             return  # late beat from a terminated attempt
         self.m.heartbeats.inc()
-        if hb.metrics is not None:
-            self.last_metrics[hb.rank] = hb.metrics
         if first:
             self.events.emit("worker_up", rank=hb.rank, attempt=hb.attempt)
         self.events.emit(
@@ -1130,16 +1140,15 @@ class _Run:
         safe — duplicate journal/store records are bit-identical and only
         this inline result enters the reduction.
         """
-        report = run_rank(self.handoff_msg(hid))
-        self.absorb_handoff(hid, None, report.c_index, report.stats)
+        self.absorb_handoff(hid, None, run_rank(self.handoff_msg(hid)))
 
-    def absorb_handoff(self, hid: int, helper, c_index: dict, stats) -> None:
-        """File a handoff's result as its own producer for the reduction."""
+    def absorb_handoff(self, hid: int, helper, report: WorkerReport) -> None:
+        """File a handoff's report as its own producer for the reduction."""
         h = self.pending_handoffs.pop(hid)
-        self.handoff_results[hid] = (h["origin"], h["arena"], c_index, stats)
+        self.handoff_results[hid] = (h["origin"], h["arena"], report)
         self.events.emit(
             "handoff_done", handoff=hid, origin=h["origin"], helper=helper,
-            tasks=stats.ntasks,
+            tasks=report.stats.ntasks,
         )
 
     # ---- reduce ------------------------------------------------------------
@@ -1152,23 +1161,23 @@ class _Run:
             for (i, j), tile in self.c.items():
                 out.set_tile(i, j, self.beta * tile)
 
-        # Every producer is an (arena, C index) pair: a rank (worker or
+        # Every producer is an (arena, report) pair: a rank (worker or
         # inline spare) or a handoff.  Handoffs reduce exactly like ranks:
         # blocks within one process hold disjoint column sets, so a stolen
         # block's tiles can collide neither with the origin's remaining
         # blocks nor with any other rank — the one-producer check enforces
         # it (M407).
         producers = [
-            (f"rank {rank}", self.c_arenas[rank], reports[rank].c_index)
+            (f"rank {rank}", self.c_arenas[rank], reports[rank])
             for rank in range(self.nranks)
         ] + [
-            (f"handoff {hid} of rank {origin}", arena, c_index)
-            for hid, (origin, arena, c_index, _) in sorted(self.handoff_results.items())
+            (f"handoff {hid} of rank {origin}", arena, report)
+            for hid, (origin, arena, report) in sorted(self.handoff_results.items())
         ]
         produced_by: dict[tuple[int, int], str] = {}
         t_reduce = self.clock()
-        for producer, arena, c_index in producers:
-            for (i, j), entry in c_index.items():
+        for producer, arena, part in producers:
+            for (i, j), entry in part.c_index.items():
                 prev = produced_by.setdefault((i, j), producer)
                 require(
                     prev == producer,
@@ -1179,15 +1188,10 @@ class _Run:
         rec.record("reduce", "net.-1", t_reduce, self.clock())
 
         # ---- merge stats / trace / comm / metrics -------------------------
-        stats = NumericStats.merge(
-            [reports[rank].stats for rank in range(self.nranks)]
-            + [s for *_, s in self.handoff_results.values()]
-        )
+        stats = NumericStats.merge(part.stats for *_, part in producers)
         run_trace = Trace()
         run_trace.extend(rec.spans)
-        spans_dropped = rec.dropped
         span_counters: dict[str, float] = dict(rec.counters)
-        counters: Counter = Counter()
         for rank in range(self.nranks):
             stream = reports[rank].spans
             if stream is not None:
@@ -1195,7 +1199,6 @@ class _Run:
                 # via the two recorders' wall-clock origin samples.
                 offset = stream.wall_origin - rec.wall_origin
                 run_trace.extend(stream.spans, offset=offset)
-                spans_dropped += stream.dropped
                 for key, val in stream.counters.items():
                     span_counters[key] = span_counters.get(key, 0.0) + val
                 t_spawn = self.spawn_clock.get(rank)
@@ -1213,16 +1216,15 @@ class _Run:
                     if t_report > last:
                         run_trace.add(f"report.{rank}", f"net.{rank}", last, t_report)
             self.comm_stats.absorb(reports[rank].link_bytes)
-            counters.update(reports[rank].counters)
         self.comm_stats.absorb(self.coord.link_bytes, self.coord.messages)
         self.registry.counter(
             "repro_spans_dropped_total",
             "trace spans discarded at the recorder bound",
         ).inc(rec.dropped)
         merged_metrics = MetricsSnapshot.merge(
-            [self.last_metrics[r] for r in sorted(self.last_metrics)]
+            [part.metrics for *_, part in producers]
             + [self.registry.snapshot()]
-        ) if self.metrics else None
+        )
 
         perf_model = None
         if self.trace:
@@ -1235,7 +1237,6 @@ class _Run:
                 plan, plan_hash=self.plan_hash or plan_fingerprint(plan)
             )
 
-        blocks_rebalanced = sum(len(s) for s in self.stolen_blocks.values())
         report = DistReport(
             stats=stats,
             trace=run_trace,
@@ -1243,30 +1244,19 @@ class _Run:
             attempts=self.attempts,
             reassigned=self.reassigned,
             segments=[arena.name for arena in self.arenas],
-            b_max_instantiations=max(
-                (reports[r].b_max_instantiations for r in range(self.nranks)),
-                default=0,
-            ),
+            metrics=merged_metrics,
             nworkers=self.nranks,
             started_at=rec.wall_origin,
-            spans_dropped=spans_dropped,
             shm_bytes=sum(arena.used_bytes for arena in self.arenas),
-            metrics=merged_metrics,
             health=self.health,
             events_path=self.events.path,
             stalled=self.stalled,
             checkpoint_dir=self.checkpoint_dir,
             run_hash=self.run_hash,
             plan_hash=self.plan_hash,
-            handoffs=len(self.handoff_results),
-            blocks_rebalanced=blocks_rebalanced,
-            tasks_rebalanced=sum(
-                self.tasks_in(r, s) for r, s in self.stolen_blocks.items()
-            ),
             model=perf_model,
             span_counters=span_counters,
             run_id=self.run_id,
-            **counters,
         )
         self.events.emit(
             "done",
@@ -1276,6 +1266,6 @@ class _Run:
             stalled=sorted(set(self.stalled)),
             reassigned=sorted(self.reassigned),
             handoffs=report.handoffs,
-            blocks_rebalanced=blocks_rebalanced,
+            blocks_rebalanced=report.blocks_rebalanced,
         )
         return out, report

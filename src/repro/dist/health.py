@@ -9,9 +9,9 @@ Three pieces:
 
 * :class:`HeartbeatMsg` — the wire format workers emit on the comm
   layer's telemetry channel every ``heartbeat_interval`` seconds: a
-  monotone sequence number, the rank's task progress, and a cumulative
-  :class:`~repro.runtime.metrics.MetricsSnapshot`.  Cumulative (not
-  incremental) on purpose: a lost heartbeat costs freshness, never data.
+  monotone sequence number and the rank's cumulative task progress.
+  Cumulative (not incremental) on purpose: a lost heartbeat costs
+  freshness, never data.
 * :class:`RunHealth` — the coordinator's aggregate: per-rank
   :class:`RankHealth` state machines fed by heartbeats and supervision
   events.  Two detectors run on it:
@@ -53,7 +53,6 @@ import time
 from dataclasses import dataclass, field
 from statistics import median
 
-from repro.runtime.metrics import MetricsSnapshot
 
 #: Extra seconds granted before a rank's *first* heartbeat of an attempt
 #: counts as missing (process spawn + import can dwarf the interval).
@@ -76,8 +75,6 @@ class HeartbeatMsg:
         sent as soon as the scatter is received).
     tasks_done:
         GEMM tasks the rank has executed so far (cumulative).
-    metrics:
-        Cumulative registry snapshot (``None`` when metrics are off).
     uptime:
         Seconds since the worker's monotonic origin — labeling only.
     """
@@ -86,7 +83,6 @@ class HeartbeatMsg:
     attempt: int
     seq: int
     tasks_done: int
-    metrics: MetricsSnapshot | None = None
     uptime: float = 0.0
 
 

@@ -35,16 +35,16 @@ spans through a :class:`~repro.runtime.tracing.SpanRecorder` on a
 *monotonic* clock — inbox wait, shared-memory attach, per-chunk prefetch
 and prefetch-queue wait, per-chunk GEMM, B-tile generation, C writeback —
 and ships the :class:`~repro.runtime.tracing.SpanStream` home in its
-report for the coordinator to merge.  With ``trace=False`` no clock is
-read in the hot loop (``on_event`` is ``None``) and no spans are stored.
+report for the coordinator to merge.  With ``trace=False`` no spans are
+stored; chunks are still timed for the metrics histograms.
 
 Live telemetry: when the scatter carries a positive ``heartbeat_interval``
 the worker runs a daemon heartbeat thread that ships a
 :class:`~repro.dist.health.HeartbeatMsg` — sequence number, cumulative
-task progress, a :class:`~repro.runtime.metrics.MetricsSnapshot` — to the
-coordinator on the comm layer's out-of-band telemetry channel every
-interval.  The first beat goes out immediately ("worker up"); the thread
-stops when the rank finishes, errors, or is deliberately stalled.
+task progress — to the coordinator on the comm layer's out-of-band
+telemetry channel every interval.  The first beat goes out immediately
+("worker up"); the thread stops when the rank finishes, errors, or is
+deliberately stalled.
 
 Fault injection lives here too: after the *k*-th GEMM task the worker
 either dies abruptly (``os._exit`` — no report, no cleanup, like a crashed
@@ -121,7 +121,6 @@ class ScatterMsg:
     trace: bool = True
     max_spans: int = 200_000
     heartbeat_interval: float = 0.0  # seconds; <= 0 disables heartbeats
-    metrics: bool = False
     #: Persistent-store / checkpoint wiring (all inert when left at their
     #: defaults): ``store_dir`` roots the B-tile persistence tier,
     #: ``ckpt_dir`` enables the writeback journal (and, when ``store_dir``
@@ -147,24 +146,17 @@ class ScatterMsg:
 
 @dataclass
 class WorkerReport:
-    """One rank's results: stats, C-tile index, span stream, link bytes."""
+    """One producer's results: stats, C-tile index, span stream, link
+    bytes, and the snapshot of its metrics registry — the only place it
+    counts anything."""
 
     rank: int
     attempt: int
     stats: NumericStats
     c_index: dict[tuple[int, int], tuple[int, int, int]]
+    metrics: MetricsSnapshot
     spans: SpanStream | None = None
     link_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
-    b_max_instantiations: int = 0
-    metrics: MetricsSnapshot | None = None
-    #: Additive counters, each keyed by the
-    #: :class:`~repro.dist.coordinator.DistReport` field it sums into:
-    #: B-service ``b_hits`` / ``b_evictions``; ``b_store_hits``, the B
-    #: tiles read from *any* store tier (warm in-process cache or disk)
-    #: instead of generated — the warm-reuse signal of a serving pool's
-    #: second job; tile-store ``store_hits`` / ``store_misses`` /
-    #: ``store_puts``; checkpoint ``blocks_restored`` / ``tasks_skipped``.
-    counters: dict[str, int] = field(default_factory=dict)
 
 
 def modeled_a_link_bytes(
@@ -192,7 +184,7 @@ def checkpoint_hooks(
     completed: dict[tuple[int, int], tuple],
     registry: MetricsRegistry,
 ):
-    """Build the ``(restore_block, on_block, counters)`` checkpoint closures.
+    """Build the ``(restore_block, on_block)`` checkpoint closures.
 
     Built once per job by :func:`run_rank`, so every producer — worker,
     helper and inline spare — journals and restores identically.
@@ -216,7 +208,6 @@ def checkpoint_hooks(
         "repro_checkpoint_tasks_skipped_total",
         "GEMM tasks skipped thanks to journaled blocks",
     )
-    counters = {"blocks_restored": 0, "tasks_skipped": 0}
 
     def restore_block(g: int, bi: int, block) -> dict | None:
         tiles = completed.get((g, bi))
@@ -230,8 +221,6 @@ def checkpoint_hooks(
             # Copy out of the store's read-only map: restored tiles must be
             # indistinguishable from freshly computed (writable) ones.
             out[(i, j)] = np.array(arr)
-        counters["blocks_restored"] += 1
-        counters["tasks_skipped"] += block.ntasks
         m_restored.inc()
         m_skipped.inc(block.ntasks)
         return out
@@ -247,7 +236,7 @@ def checkpoint_hooks(
         ))
         hist.observe(time.monotonic() - t_start)
 
-    return restore_block, on_block, counters
+    return restore_block, on_block
 
 
 class _Progress:
@@ -278,14 +267,12 @@ class _HeartbeatThread:
     """
 
     def __init__(self, endpoint: Endpoint, rank: int, attempt: int,
-                 interval: float, progress: _Progress,
-                 registry: MetricsRegistry, rec: SpanRecorder):
+                 interval: float, progress: _Progress, rec: SpanRecorder):
         self._endpoint = endpoint
         self._rank = rank
         self._attempt = attempt
         self._interval = interval
         self._progress = progress
-        self._registry = registry
         self._rec = rec
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, daemon=True)
@@ -303,7 +290,6 @@ class _HeartbeatThread:
                         attempt=self._attempt,
                         seq=seq,
                         tasks_done=self._progress.tasks,
-                        metrics=self._registry.snapshot(),
                         uptime=self._rec.now(),
                     )
                 )
@@ -330,18 +316,15 @@ def _instrumented_fetcher(a_arena: TileArena, rec: SpanRecorder, rank: int,
     (``prefetch`` spans on the GPU's link resource) and the time the
     consumer blocked on the hand-off queue (``qwait`` spans — the
     executor's measurable analogue of a starved H2D pipeline) feed both
-    the span recorder and, when metrics are on, the
-    ``repro_prefetch_seconds`` / ``repro_prefetch_qwait_seconds``
-    histograms.  With both disabled no clock is read.
+    the span recorder and the ``repro_prefetch_seconds`` /
+    ``repro_prefetch_qwait_seconds`` histograms.
     """
-    observe = registry.enabled
     prefetch_hist = registry.histogram(
         "repro_prefetch_seconds", "A-chunk prefetch copy-out durations"
     )
     qwait_hist = registry.histogram(
         "repro_prefetch_qwait_seconds", "time blocked on the prefetch hand-off"
     )
-    timed = rec.enabled or observe
 
     def fetcher(g: int, bi: int, block: Block):
         chunk_q: queue.Queue = queue.Queue(maxsize=1)
@@ -350,29 +333,24 @@ def _instrumented_fetcher(a_arena: TileArena, rec: SpanRecorder, rank: int,
 
         def produce() -> None:
             for ci, chunk in enumerate(block.chunks):
-                t_start = rec.now() if timed else 0.0
+                t_start = rec.now()
                 tiles = [
                     np.array(a_arena.get((i, k)))
                     for i, k in zip(chunk.a_rows.tolist(), chunk.a_cols.tolist())
                 ]
-                if timed:
-                    t_end = rec.now()
-                    rec.record(f"block{bi}.chunk{ci}.prefetch", link, t_start, t_end)
-                    if observe:
-                        prefetch_hist.observe(t_end - t_start)
+                t_end = rec.now()
+                rec.record(f"block{bi}.chunk{ci}.prefetch", link, t_start, t_end)
+                prefetch_hist.observe(t_end - t_start)
                 chunk_q.put(tiles)
 
         threading.Thread(target=produce, daemon=True).start()
 
         def fetch(ci: int, chunk) -> list[np.ndarray]:
-            if not timed:
-                return chunk_q.get()
             t_start = rec.now()
             tiles = chunk_q.get()
             t_end = rec.now()
             rec.record(f"block{bi}.chunk{ci}.qwait", wait, t_start, t_end)
-            if observe:
-                qwait_hist.observe(t_end - t_start)
+            qwait_hist.observe(t_end - t_start)
             return tiles
 
         return fetch
@@ -396,12 +374,11 @@ def _b_store(tile_cache, store, b_hash: str):
 
 
 #: The scatter-only settings a :class:`~repro.dist.comm.HandoffMsg` runs
-#: with: the origin's blocks, untraced and unmetered, never faulted, with
-#: nothing to restore, skip or relinquish.
+#: with: the origin's blocks, untraced, never faulted, with nothing to
+#: restore, skip or relinquish.
 _HANDOFF_SETTINGS = SimpleNamespace(
-    attempt=-1, trace=False, max_spans=0, metrics=False,
-    heartbeat_interval=0.0, fault=None, completed=(), excluded=(),
-    rebalance=False,
+    attempt=-1, trace=False, max_spans=0, heartbeat_interval=0.0,
+    fault=None, completed=(), excluded=(), rebalance=False,
 )
 
 
@@ -445,22 +422,20 @@ def run_rank(
     rec = SpanRecorder(enabled=job.trace, max_spans=job.max_spans, origin=origin)
     if origin is not None:
         rec.record("inbox.wait", f"net.{rank}", 0.0, rec.now())
-    registry = MetricsRegistry(enabled=job.metrics)
+    registry = MetricsRegistry()
     progress = _Progress()
 
     hb: _HeartbeatThread | None = None
     telemetry_on = endpoint is not None and job.heartbeat_interval > 0.0
     if telemetry_on:
         hb = _HeartbeatThread(
-            endpoint, rank, job.attempt, job.heartbeat_interval,
-            progress, registry, rec,
+            endpoint, rank, job.attempt, job.heartbeat_interval, progress, rec,
         )
         hb.start()
 
     store: TileStore | None = None
     journal: WritebackJournal | None = None
     restore_block = on_block = None
-    counters: dict[str, int] = {}
     attached: list[TileArena] = []
     try:
         if msg.store_dir is not None or msg.ckpt_dir is not None:
@@ -470,7 +445,7 @@ def run_rank(
             )
         if msg.ckpt_dir is not None:
             journal = WritebackJournal(msg.ckpt_dir, rank, suffix=journal_suffix)
-            restore_block, on_block, counters = checkpoint_hooks(
+            restore_block, on_block = checkpoint_hooks(
                 store, journal, msg.run_hash, rank,
                 {(g, bi): tiles for g, bi, tiles in job.completed},
                 registry,
@@ -528,20 +503,14 @@ def run_rank(
                 else:
                     time.sleep(fault.delay_seconds)
 
-        need_on_task = fault is not None or hb is not None or registry.enabled
         gemm_hist = registry.histogram(
             "repro_chunk_gemm_seconds", "per-chunk GEMM stream durations"
         )
 
-        if rec.enabled or registry.enabled:
-            observe = registry.enabled
-
-            def on_event(task: str, resource: str, start: float, end: float) -> None:
-                rec.record(task, resource, start, end)
-                if observe and task.endswith(".gemm"):
-                    gemm_hist.observe(end - start)
-        else:
-            on_event = None
+        def on_event(task: str, resource: str, start: float, end: float) -> None:
+            rec.record(task, resource, start, end)
+            if task.endswith(".gemm"):
+                gemm_hist.observe(end - start)
 
         # ---- rebalancing yield points -------------------------------
         # ``skipped`` holds block positions this rank must not execute:
@@ -625,7 +594,7 @@ def run_rank(
             tau=msg.tau,
             alpha=msg.alpha,
             chunk_fetcher=_instrumented_fetcher(a_arena, rec, rank, registry),
-            on_task=on_task if need_on_task else None,
+            on_task=on_task,
             on_event=on_event,
             clock=rec.now,
             restore_block=restore_block,
@@ -638,46 +607,32 @@ def run_rank(
         with rec.span(f"writeback.{rank}", f"net.{rank}"):
             for key, tile in produced.items():
                 c_index[key] = c_arena.put(key, tile)
-        if rec.enabled:
-            rec.count("bytes.writeback", sum(t.nbytes for t in produced.values()))
 
-        if registry.enabled:
-            registry.counter(
-                "repro_gemm_flops_total", "floating-point operations executed"
-            ).inc(stats.flops)
-            registry.gauge(
-                "repro_gpu_peak_bytes", "peak device-memory high-water mark"
-            ).set(stats.gpu_peak_bytes)
-            registry.counter(
-                "repro_spans_dropped_total",
-                "trace spans discarded at the recorder bound",
-            ).inc(rec.dropped)
-
-        counters.update(
-            b_hits=b_source.hits,
-            b_evictions=b_source.lru_evictions,
-            b_store_hits=getattr(b_source, "store_hits", 0),
-        )
-        if store is not None:
-            store_stats = store.stats()
-            counters.update(
-                store_hits=store_stats.hits,
-                store_misses=store_stats.misses,
-                store_puts=store_stats.puts,
-            )
+        registry.counter(
+            "repro_gemm_flops_total", "floating-point operations executed"
+        ).inc(stats.flops)
+        registry.gauge(
+            "repro_gpu_peak_bytes", "peak device-memory high-water mark"
+        ).set(stats.gpu_peak_bytes)
+        registry.counter(
+            "repro_spans_dropped_total",
+            "trace spans discarded at the recorder bound",
+        ).inc(rec.dropped)
+        registry.gauge(
+            "repro_b_service_max_instantiations",
+            "most instantiations of any one B tile on a rank",
+        ).set(b_source.max_instantiations())
         return WorkerReport(
             rank=rank,
             attempt=job.attempt,
             stats=stats,
             c_index=c_index,
+            metrics=registry.snapshot(),
             spans=rec.stream() if rec.enabled else None,
             link_bytes=(
                 modeled_a_link_bytes(msg.proc, msg.grid, msg.a_meta)
                 if isinstance(msg, ScatterMsg) else {}
             ),
-            b_max_instantiations=b_source.max_instantiations(),
-            metrics=registry.snapshot() if registry.enabled else None,
-            counters=counters,
         )
     finally:
         if hb is not None:
@@ -726,9 +681,10 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None) -> None:
     The ``error`` message carries the attempt number of the scatter it
     was executing (``-1`` if the failure preceded the scatter), so the
     coordinator can discard reports from superseded attempts instead of
-    recovering a rank it already recovered.  A failed handoff is reported
-    as a ``handoff_done`` with a ``None`` C index — the coordinator
-    re-executes those blocks on its inline spare.
+    recovering a rank it already recovered.  A handoff is answered with a
+    ``handoff_done`` carrying the helper's whole :class:`WorkerReport`, or
+    ``None`` when it failed — the coordinator then re-executes those
+    blocks on its inline spare.
     """
     origin: float | None = time.monotonic()  # the first scatter's root
     attempt = -1
@@ -750,16 +706,10 @@ def worker_main(rank: int, endpoint: Endpoint, tile_cache=None) -> None:
                 try:
                     report = run_rank(msg, tile_cache=tile_cache)
                 except Exception:  # noqa: BLE001 - helper failure is recoverable
-                    endpoint.send(
-                        COORDINATOR,
-                        ("handoff_done", rank, msg.handoff_id, None, None),
-                    )
-                else:
-                    endpoint.send(
-                        COORDINATOR,
-                        ("handoff_done", rank, msg.handoff_id,
-                         report.c_index, report.stats),
-                    )
+                    report = None
+                endpoint.send(
+                    COORDINATOR, ("handoff_done", rank, msg.handoff_id, report)
+                )
             else:
                 return  # unknown directive (incl. the serve pool's shutdown pill): exit quietly
     except BaseException:  # noqa: BLE001 - ship the traceback to the coordinator

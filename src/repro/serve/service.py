@@ -27,8 +27,9 @@ Warm reuse: every worker carries a process-lifetime
 :class:`~repro.serve.WarmTileCache` layered in front of the service's
 persistent :class:`~repro.store.TileStore` tier, both keyed by the B
 operand's content fingerprint.  A job whose B matches an earlier job's
-starts hot — visible as ``report.store_hits > 0`` with zero new process
-spawns.
+starts hot — visible as ``report.b_store_hits > 0`` with zero new process
+spawns.  (``report.store_hits`` counts only disk-tier reads: it stays 0
+when the warm cache answers, and always without a disk store.)
 
 Isolation: each job gets a run id and run-id-scoped artifacts under
 ``artifacts_dir`` — ``run-events.<run_id>.jsonl`` (the monitor-able
@@ -375,7 +376,6 @@ class ContractionService:
             path = os.path.join(self.artifacts_dir, f"trace.{job.job_id}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(report.trace.to_chrome_trace(), fh)
-        if report.metrics is not None:
-            path = os.path.join(self.artifacts_dir, f"metrics.{job.job_id}.prom")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(report.metrics.to_prometheus())
+        path = os.path.join(self.artifacts_dir, f"metrics.{job.job_id}.prom")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(report.metrics.to_prometheus())

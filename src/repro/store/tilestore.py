@@ -154,6 +154,9 @@ class TileStore:
         self._m_misses = metrics.counter(
             "repro_store_misses_total", "persistent tile-store misses"
         )
+        self._m_puts = metrics.counter(
+            "repro_store_puts_total", "tiles written to the tile store"
+        )
         self._m_evictions = metrics.counter(
             "repro_store_evictions_total", "tile-store LRU evictions"
         )
@@ -217,6 +220,7 @@ class TileStore:
             os.replace(tmp, path)
         self._session.puts += 1
         self._session.bytes_written += len(blob)
+        self._m_puts.inc()
         self._m_written.inc(len(blob))
         self._append_index(digest, ns, key, len(blob))
         if self.budget_bytes is not None:

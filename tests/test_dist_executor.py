@@ -25,7 +25,7 @@ from repro.dist import (
     execute_plan_distributed,
 )
 from repro.machine import summit
-from repro.runtime import GeneratedCollection, execute_plan
+from repro.runtime import GeneratedCollection, MetricsRegistry, execute_plan
 from repro.runtime.numeric import NumericStats
 from repro.sparse import random_block_sparse
 from repro.sparse.gemm_ref import gemm_against_dense
@@ -256,9 +256,10 @@ class TestBService:
         keys = [(k, j) for k in range(col.shape.ntile_rows)
                 for j in range(col.shape.ntile_cols) if col.has_tile(k, j)][:6]
         budget = sum(col.tile_nbytes(k, j) for k, j in keys[:2]) + 8
-        svc = BService(col, budget_bytes=budget)
+        registry = MetricsRegistry()
+        svc = BService(col, budget_bytes=budget, metrics=registry)
         first = {key: svc.tile(0, *key).copy() for key in keys}
-        assert svc.lru_evictions > 0
+        assert registry.snapshot().get("repro_b_service_evictions_total") > 0
         assert svc.max_instantiations() == 1
         # A re-pull of an evicted tile regenerates bit-identical values.
         again = svc.tile(0, *keys[0])
@@ -356,13 +357,14 @@ class TestTelemetry:
             float(value)
             assert name_labels.startswith("repro_")
 
-    def test_metrics_disabled_run_reports_none(self):
+    def test_heartbeats_off_run_still_reports_metrics(self):
         a, b = operands(seed=12, m=100, nk=200)
         plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(2), p=1)
         c_dist, report = execute_plan_distributed(
-            plan, a, b, metrics=False, heartbeat_interval=0.0
+            plan, a, b, heartbeat_interval=0.0
         )
-        assert report.metrics is None
+        assert report.metrics is not None and not report.metrics.empty
+        assert report.metrics.get("repro_gemm_tasks_total") == report.stats.ntasks
         assert report.health is not None and not report.health.enabled
         c_serial, _ = execute_plan(plan, a, b)
         assert np.array_equal(c_serial.to_dense(), c_dist.to_dense())

@@ -252,3 +252,27 @@ class TestPrometheus:
         _, samples = _parse_exposition(text)
         nbuckets = sum(1 for n, _, _ in samples if n == "h_bucket")
         assert nbuckets == len(DEFAULT_BUCKETS) + 1  # finite bounds + +Inf
+
+
+def test_report_counters_name_created_metrics():
+    """Every metric a ``DistReport`` counter reads is created somewhere
+    under ``src/repro``: ``MetricsSnapshot.get`` returns 0 for an unknown
+    name, so a misspelled table entry would otherwise read 0 forever."""
+    import ast
+    from pathlib import Path
+
+    import repro
+    from repro.dist.coordinator import _RUN_COUNTERS, REPORT_COUNTERS
+
+    created = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge")
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                created.add(node.args[0].value)
+    # The coordinator creates one counter per entry of its own table.
+    created.update(name for name, _ in _RUN_COUNTERS.values())
+    missing = sorted(set(REPORT_COUNTERS.values()) - created)
+    assert not missing, f"DistReport counters read unknown metrics: {missing}"

@@ -68,6 +68,9 @@ class TestRebalanceParity:
         )
         assert np.array_equal(c_dist.to_dense(), c_serial.to_dense())
         assert rep.stats == s_serial
+        # Handed-off work is metered like any other producer's.
+        assert rep.metrics.get("repro_gemm_tasks_total") == rep.stats.ntasks
+        assert rep.metrics.get("repro_gemm_flops_total") == rep.stats.flops
         assert rep.blocks_rebalanced > 0
         assert rep.handoffs >= 1
         assert rep.tasks_rebalanced > 0

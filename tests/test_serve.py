@@ -195,6 +195,8 @@ class TestContractionService:
             assert rep1.b_store_hits == 0
             assert rep2.b_store_hits > 0
             assert rep2.b_store_hits == rep2.stats.b_tiles_generated
+            assert (rep2.metrics.get("repro_b_service_store_hits_total")
+                    == rep2.b_store_hits)
         finally:
             svc.shutdown()
 
@@ -322,8 +324,11 @@ PROBE_SETUP = textwrap.dedent("""
 
 #: case -> its runs.  ``pooled``: a pool started before the first
 #: shared-memory segment (the service's order), three jobs, then close.
-#: ``cold``: one one-shot run.  ``cold-kill``: a one-shot run whose rank 1
-#: is killed once and retried in a fresh process.
+#: ``pooled-kill``: the same pool, with rank 1 of the second job killed
+#: once and retried in a fresh pool process.  ``cold``: one one-shot run.
+#: ``cold-kill``: a one-shot run whose rank 1 is killed once and retried
+#: in a fresh process.  ``cold-stall``: a one-shot run whose rank 1 hangs
+#: once, is caught by missed heartbeats, terminated and retried.
 PROBE_RUNS = {
     "pooled": """
 pool = WorkerPool(plan.grid.nprocs)
@@ -332,12 +337,28 @@ for _ in range(3):
     execute_plan_distributed(plan, a, b, pool=pool)
 pool.close()
 """,
+    "pooled-kill": """
+pool = WorkerPool(plan.grid.nprocs)
+pool.start()
+for job in range(3):
+    fault = FaultPlan.kill(1, 3) if job == 1 else None
+    _, rep = execute_plan_distributed(plan, a, b, pool=pool, fault_plan=fault)
+    assert rep.attempts[1] == (2 if job == 1 else 1), rep.attempts
+pool.close()
+""",
     "cold": """
 execute_plan_distributed(plan, a, b)
 """,
     "cold-kill": """
 _, rep = execute_plan_distributed(plan, a, b, fault_plan=FaultPlan.kill(1, 3))
 assert rep.attempts[1] == 2, rep.attempts
+""",
+    "cold-stall": """
+_, rep = execute_plan_distributed(
+    plan, a, b, fault_plan=FaultPlan.stall(1, 3),
+    heartbeat_interval=0.05, stall_after_beats=4,
+)
+assert rep.attempts[1] == 2 and rep.stalled == [1], (rep.attempts, rep.stalled)
 """,
 }
 
