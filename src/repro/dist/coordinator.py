@@ -88,6 +88,7 @@ from repro.dist.worker import (
     WorkerReport,
     run_rank,
 )
+from repro.runtime.blas import usable_cores
 from repro.runtime.data import GeneratedCollection, MatrixSource
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
 from repro.runtime.numeric import NumericStats
@@ -127,7 +128,9 @@ class DistExecutionError(RuntimeError):
 #: merged snapshot it reads.  ``b_store_hits`` counts B tiles served from
 #: any store tier (warm in-process cache or disk) instead of generated —
 #: nonzero on a warm pooled run's repeat job; ``b_max_instantiations`` is
-#: a max-merged gauge (the paper's once-per-rank invariant: 1).
+#: a max-merged gauge (the paper's once-per-rank invariant: 1), and so is
+#: ``blas_threads``, the BLAS threads each tile GEMM ran with (0: no
+#: OpenBLAS count could be pinned).
 REPORT_COUNTERS = {
     "b_hits": "repro_b_service_hits_total",
     "b_evictions": "repro_b_service_evictions_total",
@@ -142,6 +145,7 @@ REPORT_COUNTERS = {
     "handoffs": "repro_rebalance_handoffs_total",
     "blocks_rebalanced": "repro_rebalance_blocks_reclaimed_total",
     "tasks_rebalanced": "repro_rebalance_tasks_moved_total",
+    "blas_threads": "repro_blas_threads",
 }
 
 
@@ -256,6 +260,15 @@ class DistReport:
             f"B service: {self.stats.b_tiles_generated} generated, "
             f"{self.b_hits} hits, {self.b_evictions} LRU evictions"
         )
+        threads = self.blas_threads
+        if threads:
+            lines.append(
+                f"core budget: {self.nworkers} ranks x {threads} BLAS "
+                f"thread{'s' if threads > 1 else ''} on {usable_cores()} "
+                f"usable cores"
+            )
+        else:
+            lines.append("BLAS threads not pinned (no OpenBLAS found)")
         lines.append(
             f"shared memory: {len(self.segments)} segments, "
             f"{fmt_bytes(self.shm_bytes)} of tiles"

@@ -81,6 +81,7 @@ from repro.dist.comm import (
 from repro.dist.faults import FaultInjection
 from repro.dist.health import HeartbeatMsg
 from repro.dist.tile_store import ArenaMeta, TileArena
+from repro.runtime.blas import pinned_threads
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
 from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
 from repro.runtime.tracing import SpanRecorder, SpanStream
@@ -622,6 +623,10 @@ def run_rank(
             "repro_b_service_max_instantiations",
             "most instantiations of any one B tile on a rank",
         ).set(b_source.max_instantiations())
+        registry.gauge(
+            "repro_blas_threads",
+            "BLAS threads each tile GEMM ran with (0: not pinned)",
+        ).set(pinned_threads())
         return WorkerReport(
             rank=rank,
             attempt=job.attempt,

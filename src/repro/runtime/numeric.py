@@ -18,7 +18,12 @@ runs over one rank's blocks) is shared with the real multi-process
 executor in :mod:`repro.dist`: both walk blocks, chunks and GEMMs in the
 identical order with identical floating-point operations, so the
 distributed result is bit-for-bit the serial result and this executor
-doubles as the distributed executor's crosscheck oracle.
+doubles as the distributed executor's crosscheck oracle.  Identical
+operations also need a fixed BLAS thread count: OpenBLAS splits a GEMM
+differently on one thread than on two, and the last bits of C follow.
+The block loop therefore runs inside
+:func:`~repro.runtime.blas.one_thread_per_gemm`, so every tile GEMM of
+every process runs on one thread whatever count the caller set.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.core.plan import Block, ExecutionPlan, ProcPlan
+from repro.runtime.blas import one_thread_per_gemm
 from repro.runtime.data import MatrixSource, TileSource
 from repro.runtime.gpu_memory import GpuMemory
 from repro.sparse.matrix import BlockSparseMatrix
@@ -255,59 +261,63 @@ def execute_blocks(
     drops the block entirely (someone else now owns it — its tiles arrive
     through that owner, so producing them here would violate the
     one-producer-per-tile reduction invariant).
+
+    Every GEMM runs on one BLAS thread (:mod:`repro.runtime.blas`); the
+    caller's thread count is restored on return, raise or not.
     """
     stats = NumericStats()
     produced: dict[tuple[int, int], np.ndarray] = {}
     mems: dict[int, GpuMemory] = {}
-    for g, bi, block in blocks:
-        block_name = f"block{bi}"
-        if skip_block is not None and skip_block(g, bi, block):
-            continue
-        if restore_block is not None:
-            restored = restore_block(g, bi, block)
-            if restored is not None:
-                produced.update(restored)
+    with one_thread_per_gemm():
+        for g, bi, block in blocks:
+            block_name = f"block{bi}"
+            if skip_block is not None and skip_block(g, bi, block):
                 continue
-        mem = mems.get(g)
-        if mem is None:
-            mem = mems[g] = GpuMemory(gpu_memory_bytes)
-        mem.reserve(block_name, block.b_bytes + block.c_bytes)
-        stats.h2d_bytes += block.b_bytes
-        cols_of_k = block_cols_of_k(block, b_csr)
-        fetch = chunk_fetcher(g, bi, block) if chunk_fetcher is not None else None
-        c_dev = execute_block(
-            block,
-            block_name,
-            rank=rank,
-            a_get_tile=a_get_tile,
-            b=b,
-            cols_of_k=cols_of_k,
-            mem=mem,
-            stats=stats,
-            tau=tau,
-            alpha=alpha,
-            fetch_chunk=fetch,
-            on_task=on_task,
-            on_event=on_event,
-            resource=f"gpu.{rank}.{g}.comp",
-            clock=clock,
-        )
+            if restore_block is not None:
+                restored = restore_block(g, bi, block)
+                if restored is not None:
+                    produced.update(restored)
+                    continue
+            mem = mems.get(g)
+            if mem is None:
+                mem = mems[g] = GpuMemory(gpu_memory_bytes)
+            mem.reserve(block_name, block.b_bytes + block.c_bytes)
+            stats.h2d_bytes += block.b_bytes
+            cols_of_k = block_cols_of_k(block, b_csr)
+            fetch = chunk_fetcher(g, bi, block) if chunk_fetcher is not None else None
+            c_dev = execute_block(
+                block,
+                block_name,
+                rank=rank,
+                a_get_tile=a_get_tile,
+                b=b,
+                cols_of_k=cols_of_k,
+                mem=mem,
+                stats=stats,
+                tau=tau,
+                alpha=alpha,
+                fetch_chunk=fetch,
+                on_task=on_task,
+                on_event=on_event,
+                resource=f"gpu.{rank}.{g}.comp",
+                clock=clock,
+            )
 
-        # Writeback: C tiles leave the device once per block.  Within a
-        # process, blocks hold disjoint column sets, so no key collides.
-        for (i, j), tile in c_dev.items():
-            produced[(i, j)] = tile
-            stats.d2h_bytes += tile.nbytes
-        if on_block is not None:
-            on_block(g, bi, block, c_dev)
+            # Writeback: C tiles leave the device once per block.  Within a
+            # process, blocks hold disjoint column sets, so no key collides.
+            for (i, j), tile in c_dev.items():
+                produced[(i, j)] = tile
+                stats.d2h_bytes += tile.nbytes
+            if on_block is not None:
+                on_block(g, bi, block, c_dev)
 
-        # Evict the block's B tiles at end of life-cycle.
-        if hasattr(b, "evict"):
-            for k, js in cols_of_k.items():
-                for j in js:
-                    b.evict(rank, k, j)
+            # Evict the block's B tiles at end of life-cycle.
+            if hasattr(b, "evict"):
+                for k, js in cols_of_k.items():
+                    for j in js:
+                        b.evict(rank, k, j)
 
-        mem.release(block_name)
+            mem.release(block_name)
     stats.gpu_peak_bytes = max((mem.peak for mem in mems.values()), default=0)
     stats.per_proc_tasks[rank] = stats.ntasks
     return produced, stats

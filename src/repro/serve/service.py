@@ -87,7 +87,11 @@ class JobFailedError(RuntimeError):
 
 @dataclass
 class Job:
-    """One queued contraction and everything observed about it."""
+    """One queued contraction and everything observed about it.
+
+    ``plan``, ``a``, ``b`` and ``kwargs`` are the job's input: they are
+    dropped when it finishes, while ``result`` and ``report`` stay.
+    """
 
     job_id: str
     plan: object
@@ -364,6 +368,10 @@ class ContractionService:
             self._finish(job, FAILED, error=exc)
 
     def _finish(self, job: Job, state: str, error: BaseException | None = None):
+        # Only ``_execute`` reads the input; kept, it would hold every
+        # past job's A and B for the service's lifetime.
+        job.plan = job.a = job.b = None
+        job.kwargs = {}
         job.state = state
         job.error = error
         job.finished_s = time.monotonic()

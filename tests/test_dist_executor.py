@@ -21,6 +21,7 @@ from repro.dist import (
     DistExecutionError,
     FaultPlan,
     TileArena,
+    WorkerPool,
     active_segments,
     execute_plan_distributed,
 )
@@ -459,6 +460,31 @@ class TestTelemetry:
             # per rank is a safe floor.
             assert rk.count("heartbeat") >= 2
         assert events[-1]["heartbeats"] == report.health.heartbeats
+
+
+@pytest.mark.dist
+class TestOneBlasThreadPerGemm:
+    """Workers pin their tile GEMMs to one BLAS thread whatever count the
+    parent runs with, so C matches the (equally pinned) serial oracle."""
+
+    def test_cold_and_pooled_runs_pin_one_thread(self, blas_count, wide_tile_problem):
+        plan, a, b = wide_tile_problem
+        assert plan.grid.nprocs == 2
+        blas_count.value = 2
+        oracle, _ = execute_plan(plan, a, b)
+        c_cold, cold = execute_plan_distributed(plan, a, b)
+        assert blas_count.value == 2
+        pool = WorkerPool(plan.grid.nprocs)
+        try:
+            pool.start()
+            c_pooled, pooled = execute_plan_distributed(plan, a, b, pool=pool)
+        finally:
+            pool.close()
+        assert blas_count.value == 2
+        for c, report in ((c_cold, cold), (c_pooled, pooled)):
+            assert report.blas_threads == 1
+            assert "x 1 BLAS thread on" in report.observability_summary()
+            assert np.array_equal(c.to_dense(), oracle.to_dense())
 
 
 class TestCliIntegration:

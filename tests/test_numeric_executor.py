@@ -6,6 +6,9 @@ tiles reproduces the dense reference, and the run respects the paper's
 memory and generation invariants.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import PlanOptions, inspect, psgemm_numeric
 from repro.machine import summit
 from repro.runtime import GeneratedCollection, execute_plan
+from repro.runtime.data import MatrixSource
 from repro.sparse import random_block_sparse
 from repro.sparse.construct import from_shape
 from repro.sparse.gemm_ref import block_gemm_reference, gemm_against_dense
@@ -174,3 +178,89 @@ class TestGemmScalars:
         c1, _ = psgemm_numeric(a, b, summit(1))
         c2, _ = psgemm_numeric(a, b, summit(1), alpha=1.0, beta=1.0)
         assert c1.allclose(c2)
+
+
+# -- one BLAS thread per tile GEMM ---------------------------------------------
+
+
+class _RecordingSource:
+    """A B source that records the BLAS count its GEMMs run under, and
+    optionally waits at its first tile or raises at its third."""
+
+    def __init__(self, b, count, *, barrier=None, raise_at=None):
+        self._inner = MatrixSource(b)
+        self._count = count
+        self._barrier = barrier
+        self._raise_at = raise_at
+        self.seen: list[int] = []
+
+    def has_tile(self, k, j):
+        return self._inner.has_tile(k, j)
+
+    def tile(self, proc, k, j):
+        self.seen.append(self._count.value)
+        if self._barrier is not None and len(self.seen) == 1:
+            self._barrier.wait(timeout=30)
+        if len(self.seen) == self._raise_at:
+            raise RuntimeError("tile source failed")
+        return self._inner.tile(proc, k, j)
+
+
+class TestOneBlasThreadPerGemm:
+    def test_c_independent_of_callers_thread_count(self, blas_count, wide_tile_problem):
+        plan, a, b = wide_tile_problem
+        blas_count.value = 2
+        c2, _ = execute_plan(plan, a, b)
+        blas_count.value = 1
+        c1, _ = execute_plan(plan, a, b)
+        assert np.array_equal(c1.to_dense(), c2.to_dense())
+
+    def test_callers_count_restored_after_return_and_raise(
+        self, blas_count, wide_tile_problem
+    ):
+        plan, a, b = wide_tile_problem
+        blas_count.value = 2
+        src = _RecordingSource(b, blas_count)
+        execute_plan(plan, a, src)
+        assert blas_count.value == 2
+        assert src.seen and set(src.seen) == {1}
+        src = _RecordingSource(b, blas_count, raise_at=3)
+        with pytest.raises(RuntimeError, match="tile source failed"):
+            execute_plan(plan, a, src)
+        assert blas_count.value == 2
+        assert src.seen == [1, 1, 1]
+
+    def test_overlapping_callers_keep_the_pin(self, blas_count, wide_tile_problem):
+        """More threads than cores, all inside the pin at once, switching
+        often: none may see the count restored mid-run, and the last one
+        out restores the caller's count."""
+        plan, a, b = wide_tile_problem
+        blas_count.value = 2
+        ref, _ = execute_plan(plan, a, b)
+        nthreads = 4
+        barrier = threading.Barrier(nthreads)
+        sources = [
+            _RecordingSource(b, blas_count, barrier=barrier) for _ in range(nthreads)
+        ]
+        results = [None] * nthreads
+
+        def run(n):
+            results[n], _ = execute_plan(plan, a, sources[n])
+
+        threads = [threading.Thread(target=run, args=(n,)) for n in range(nthreads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for c in results:
+            assert c is not None
+            assert np.array_equal(c.to_dense(), ref.to_dense())
+        for src in sources:
+            assert set(src.seen) == {1}
+        assert blas_count.value == 2

@@ -200,6 +200,20 @@ class TestContractionService:
         finally:
             svc.shutdown()
 
+    def test_finished_job_releases_its_operands(self, problem):
+        plan, a, b, oracle = problem
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            jid = svc.submit(plan, a, b.empty_clone(), alpha=1.0)
+            out, _ = svc.result(jid, timeout=120)
+            job = svc._job(jid)
+            assert job.plan is None and job.a is None and job.b is None
+            assert job.kwargs == {}
+            assert np.array_equal(out.to_dense(), oracle)
+            assert np.array_equal(svc.result(jid)[0].to_dense(), oracle)
+        finally:
+            svc.shutdown()
+
     def test_per_job_artifacts_are_disjoint(self, problem, tmp_path):
         plan, a, b, _ = problem
         svc = ContractionService(plan.grid.nprocs, artifacts_dir=str(tmp_path))
