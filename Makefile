@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-dist trace-smoke explain-smoke resume-smoke serve-smoke bench-smoke analyze model-check docs-rules bench bench-paper examples export selftest clean
+.PHONY: install test test-dist perfbench-test trace-smoke explain-smoke resume-smoke serve-smoke bench-smoke analyze model-check docs-rules bench bench-paper examples export selftest clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -39,6 +39,11 @@ test-dist:
 	PYTHONPATH=src timeout 420 pytest tests/test_serve.py -m "" -q
 	PYTHONPATH=src timeout 120 python -m repro selftest --procs 3 \
 		--inject-fault 0:1:slow --rebalance
+
+# The repository benchmark's own tests: each workload at a reduced scale,
+# checked against the serial oracle (a few seconds).
+perfbench-test:
+	PYTHONPATH=src python -m pytest perfbench/tests -q
 
 # Benchmark regression gate: run the small dist-executor sweep, write
 # BENCH_dist.json, and compare against the committed baseline (exact task

@@ -450,6 +450,7 @@ def _serve_table(snapshots: list[dict]) -> str:
 
 
 def _cmd_serve(args) -> int:
+    import contextlib
     import json
     import time
 
@@ -470,8 +471,21 @@ def _cmd_serve(args) -> int:
         queue_limit=args.queue_limit,
         verify=args.verify,
     )
-    submitted: list[str] = []
+    reports = {}  # job id -> its DistReport (None: failed), from result()
     failures = 0
+
+    def collect(job_id: str, timeout: float) -> None:
+        nonlocal failures
+        try:
+            reports[job_id] = svc.result(job_id, timeout=timeout)[1]
+        except JobFailedError as exc:
+            reports[job_id] = None
+            failures += 1
+            print(f"job {job_id} FAILED: {exc}", file=sys.stderr)
+        except LookupError as exc:  # released before this read
+            reports[job_id] = None
+            print(f"job {job_id}: {exc}", file=sys.stderr)
+
     try:
         for i, job in enumerate(jobs):
             a, b = _serve_operands(job)
@@ -479,31 +493,33 @@ def _cmd_serve(args) -> int:
                 a.sparse_shape(), b.shape, summit(procs), p=int(job.get("p", 1))
             )
             job_id = svc.submit(plan, a, b, priority=int(job.get("priority", 0)))
-            submitted.append(job_id)
             print(f"submitted {job_id} (spec job {i}, "
                   f"priority {job.get('priority', 0)})")
             if job.get("wait"):
                 # Sequential phase boundary: later jobs must see this
                 # one's warm state (or its failure) before they queue.
-                try:
-                    svc.result(job_id, timeout=args.timeout)
-                except JobFailedError as exc:
-                    failures += 1
-                    print(f"job {job_id} FAILED: {exc}", file=sys.stderr)
-        while any(s["state"] in ("queued", "running") for s in svc.jobs()):
-            print(_serve_table(svc.jobs()), flush=True)
-            time.sleep(args.interval)
-        for job_id in submitted:
-            try:
-                svc.result(job_id, timeout=args.timeout)
-            except JobFailedError as exc:
-                failures += 1
-                print(f"job {job_id} FAILED: {exc}", file=sys.stderr)
+                collect(job_id, args.timeout)
+        # Read each report as its job ends: the service keeps only the
+        # RESULTS_KEPT most recently finished ones.
+        next_table = time.monotonic()
+        while len(reports) < len(jobs):
+            snaps = svc.jobs()
+            if time.monotonic() >= next_table:
+                print(_serve_table(snaps), flush=True)
+                next_table = time.monotonic() + args.interval
+            for s in snaps:
+                if s["job_id"] not in reports and s["state"] not in ("queued", "running"):
+                    collect(s["job_id"], args.timeout)
+            running = [s["job_id"] for s in snaps if s["state"] == "running"]
+            if not running:  # the scheduler is between jobs
+                time.sleep(0.01)
+                continue
+            with contextlib.suppress(TimeoutError):  # returns as the job ends
+                collect(running[0], args.interval)
         print(_serve_table(svc.jobs()))
-        reports = [svc.report(j) for j in submitted]
-        warm_hits = sum(r.b_store_hits for r in reports if r is not None)
+        warm_hits = sum(r.b_store_hits for r in reports.values() if r is not None)
         print(
-            f"{len(submitted)} job(s), {failures} failure(s); pool spawned "
+            f"{len(jobs)} job(s), {failures} failure(s); pool spawned "
             f"{svc.pool.spawns} process(es) for {procs} rank(s); "
             f"warm B-tile hits: {warm_hits}"
         )

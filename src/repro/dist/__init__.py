@@ -12,10 +12,10 @@ oracle: same plan, same seeds, identical C.
 
 * :mod:`~repro.dist.tile_store` — shared-memory tile arenas + leak registry;
 * :mod:`~repro.dist.comm` — coordinator/worker queues, per-link byte counts;
-* :mod:`~repro.dist.bservice` — per-rank on-demand B generation under an
-  LRU budget (:class:`~repro.runtime.gpu_memory.GpuMemory` semantics);
 * :mod:`~repro.dist.worker` — the per-rank process with double-buffered
-  chunk prefetch and fault hooks;
+  chunk prefetch and fault hooks; its B source (on-demand generation under
+  an LRU budget, :class:`~repro.runtime.data.BService`) is the one the
+  serial executor builds per rank;
 * :mod:`~repro.dist.coordinator` — scatter / supervise / reduce / clean up;
 * :mod:`~repro.dist.pool` — a warm worker pool the coordinator can borrow,
   so the serving layer (:mod:`repro.serve`) reuses processes across runs;
@@ -31,7 +31,6 @@ serial oracle and checkpoint-safe (handoffs journal into per-handoff
 sidecar files under the origin rank).
 """
 
-from repro.dist.bservice import ArenaBSource, BService, TieredBStore, validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
@@ -55,10 +54,10 @@ from repro.dist.health import (
 )
 from repro.dist.pool import WorkerPool
 from repro.dist.tile_store import ArenaMeta, TileArena, active_segments
-from repro.dist.worker import ScatterMsg, WorkerReport
+from repro.dist.worker import ScatterMsg, TieredBStore, WorkerReport
+from repro.runtime.data import BService, validate_b_budget
 
 __all__ = [
-    "ArenaBSource",
     "ArenaMeta",
     "BService",
     "BlockDoneMsg",

@@ -69,7 +69,6 @@ if TYPE_CHECKING:
     from repro.perf import Attribution, PerfModel, RooflineAudit
 
 from repro.core.plan import ExecutionPlan
-from repro.dist.bservice import validate_b_budget
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
@@ -89,7 +88,7 @@ from repro.dist.worker import (
     run_rank,
 )
 from repro.runtime.blas import usable_cores
-from repro.runtime.data import GeneratedCollection, MatrixSource
+from repro.runtime.data import GeneratedCollection, validate_b_budget
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
 from repro.runtime.numeric import NumericStats
 from repro.runtime.tracing import SpanRecorder, Trace
@@ -127,15 +126,13 @@ class DistExecutionError(RuntimeError):
 #: The run counters of :class:`DistReport`: attribute -> the metric of the
 #: merged snapshot it reads.  ``b_store_hits`` counts B tiles served from
 #: any store tier (warm in-process cache or disk) instead of generated —
-#: nonzero on a warm pooled run's repeat job; ``b_max_instantiations`` is
-#: a max-merged gauge (the paper's once-per-rank invariant: 1), and so is
-#: ``blas_threads``, the BLAS threads each tile GEMM ran with (0: no
+#: nonzero on a warm pooled run's repeat job; ``blas_threads`` is a
+#: max-merged gauge, the BLAS threads each tile GEMM ran with (0: no
 #: OpenBLAS count could be pinned).
 REPORT_COUNTERS = {
     "b_hits": "repro_b_service_hits_total",
     "b_evictions": "repro_b_service_evictions_total",
     "b_store_hits": "repro_b_service_store_hits_total",
-    "b_max_instantiations": "repro_b_service_max_instantiations",
     "store_hits": "repro_store_hits_total",
     "store_misses": "repro_store_misses_total",
     "store_puts": "repro_store_puts_total",
@@ -204,6 +201,11 @@ class DistReport:
                 if self.blocks_rebalanced else ""
             )
         )
+
+    @property
+    def b_max_instantiations(self) -> int:
+        """The paper's once-per-rank invariant (1): ``stats.b_max_instantiations``."""
+        return self.stats.b_max_instantiations
 
     # -- derived observability metrics ---------------------------------------
 
@@ -448,8 +450,6 @@ def execute_plan_distributed(
         from repro.analysis import assert_plan_valid  # late import: avoid cycle
 
         assert_plan_valid(plan)
-    if isinstance(b, MatrixSource):
-        b = b.matrix
     require(a.rows == plan.a_shape.rows and a.cols == plan.a_shape.cols, "A tilings differ from plan")
     require(a.cols == plan.b_shape.rows, "A and B do not conform")
     if isinstance(b, GeneratedCollection):
@@ -561,12 +561,17 @@ class _Run:
         # ---- persistence / checkpoint identity ----------------------------
         self.persist = self.checkpoint_dir is not None or self.store_dir is not None
         self.plan_hash = self.b_hash = self.run_hash = ""
-        if self.persist or self.borrowed:
-            # A borrowed pool's workers keep process-lifetime warm caches
-            # keyed by the B fingerprint, so a pooled run fingerprints its
-            # operands even without a disk tier (an empty namespace would
-            # alias operands).  A private pool dies with the run: a cold
-            # run without a store never hashes B.
+        if self.persist or (
+            self.borrowed and isinstance(self.b, GeneratedCollection)
+        ):
+            # Hash only for a tier that reads the fingerprints: the disk
+            # store and journal, and a borrowed pool's process-lifetime
+            # warm caches, which hold generated B tiles only (keyed
+            # ``b:<hash>``; an empty namespace would alias operands).  A
+            # concrete B is resident in its arena and never enters a warm
+            # cache, and a private pool dies with the run, so neither a
+            # pooled run over a concrete B nor a cold run without a store
+            # hashes B.
             self.plan_hash = plan_fingerprint(plan)
             self.b_hash = b_fingerprint(self.b)
             self.run_hash = run_fingerprint(self.plan_hash, self.b_hash, self.alpha)

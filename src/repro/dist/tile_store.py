@@ -159,6 +159,10 @@ class TileArena:
         view.flags.writeable = False
         return view
 
+    def get_tile(self, i: int, j: int) -> np.ndarray:
+        """:meth:`get` under :class:`~repro.sparse.BlockSparseMatrix`'s name."""
+        return self.get((i, j))
+
     def put(self, key: TileKey, arr: np.ndarray) -> tuple[int, int, int]:
         """Append ``arr`` and index it under ``key``; returns the entry."""
         require(key not in self.index, f"tile {key} already stored")

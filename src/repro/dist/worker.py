@@ -16,6 +16,14 @@ produced.  The coordinator's inline spare (a twice-failed rank, or a
 handoff no helper could finish) is that runtime called in-process with no
 endpoint; where a block runs never changes what it produces.
 
+The B source is the one the serial executor builds for each of its ranks,
+from the same :func:`repro.runtime.data.b_source`: an LRU
+:class:`~repro.runtime.data.BService` over the scattered generated
+collection (with the store tiers :func:`_b_store` composes in front of the
+generator), or a :class:`~repro.runtime.data.ResidentB` over the
+coordinator's shared-memory B arena.  So ``b_tiles_generated`` and the
+once-per-rank invariant are counted by one implementation on both sides.
+
 Rebalancing yield points: between blocks the worker polls its inbox; a
 coordinator :class:`~repro.dist.comm.RelinquishMsg` makes it give up its
 not-yet-started blocks (acked with their positions, skipped thereafter)
@@ -69,7 +77,6 @@ import numpy as np
 
 from repro.core.grid import ProcessGrid
 from repro.core.plan import Block, ProcPlan
-from repro.dist.bservice import ArenaBSource, BService, TieredBStore
 from repro.dist.comm import (
     COORDINATOR,
     BlockDoneMsg,
@@ -82,6 +89,7 @@ from repro.dist.faults import FaultInjection
 from repro.dist.health import HeartbeatMsg
 from repro.dist.tile_store import ArenaMeta, TileArena
 from repro.runtime.blas import pinned_threads
+from repro.runtime.data import b_source
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
 from repro.runtime.numeric import NumericStats, execute_blocks, proc_blocks
 from repro.runtime.tracing import SpanRecorder, SpanStream
@@ -359,6 +367,40 @@ def _instrumented_fetcher(a_arena: TileArena, rec: SpanRecorder, rank: int,
     return fetcher
 
 
+class TieredBStore:
+    """Chain two B-tile store tiers behind one ``get``/``put`` interface.
+
+    ``front`` is a fast in-memory tier — a serving pool's process-lifetime
+    warm cache (:class:`repro.serve.WarmTileCache`) — and ``back`` the
+    persistent on-disk :class:`~repro.store.TileStore` (or ``None`` when
+    the run has no disk tier).  Reads promote back-tier hits into the
+    front so one disk read per process lifetime suffices; writes land in
+    both tiers.  Both tiers are keyed by the operand-fingerprint
+    namespace, so a tile served from either is bit-identical to what the
+    generator would produce — which tier answered can never change the
+    numeric result.
+    """
+
+    def __init__(self, front, back=None):
+        self._front = front
+        self._back = back
+
+    def get(self, ns: str, key):
+        arr = self._front.get(ns, key)
+        if arr is not None:
+            return arr
+        if self._back is not None:
+            arr = self._back.get(ns, key)
+            if arr is not None:
+                self._front.put(ns, key, arr)
+        return arr
+
+    def put(self, ns: str, key, arr) -> None:
+        self._front.put(ns, key, arr)
+        if self._back is not None:
+            self._back.put(ns, key, arr)
+
+
 def _b_store(tile_cache, store, b_hash: str):
     """Compose the B service's store tier(s) for one scattered attempt.
 
@@ -456,18 +498,15 @@ def run_rank(
             a_arena = TileArena.attach(msg.a_meta)
             attached.append(a_arena)
 
-            kind, payload = msg.b_spec
+            kind, b = msg.b_spec
             if kind == "arena":
-                b_arena = TileArena.attach(payload)
-                attached.append(b_arena)
-                b_source = ArenaBSource(b_arena, metrics=registry)
-            else:
-                b_source = BService(
-                    payload, budget_bytes=msg.gpu_memory_bytes, recorder=rec,
-                    metrics=registry,
-                    store=_b_store(tile_cache, store, msg.b_hash),
-                    store_ns=f"b:{msg.b_hash}",
-                )
+                b = TileArena.attach(b)
+                attached.append(b)
+            b_src = b_source(
+                b, msg.gpu_memory_bytes, recorder=rec, metrics=registry,
+                store=_b_store(tile_cache, store, msg.b_hash),
+                store_ns=f"b:{msg.b_hash}",
+            )
 
             c_arena = TileArena.attach(msg.c_meta)
             attached.append(c_arena)
@@ -588,8 +627,8 @@ def run_rank(
         produced, stats = execute_blocks(
             rank,
             blocks,
-            lambda i, k: a_arena.get((i, k)),
-            b_source,
+            a_arena.get_tile,
+            b_src,
             gpu_memory_bytes=msg.gpu_memory_bytes,
             b_csr=msg.b_csr,
             tau=msg.tau,
@@ -602,7 +641,6 @@ def run_rank(
             on_block=on_block,
             skip_block=skip_block,
         )
-        stats.b_tiles_generated = b_source.generated_tiles()
 
         c_index: dict[tuple[int, int], tuple[int, int, int]] = {}
         with rec.span(f"writeback.{rank}", f"net.{rank}"):
@@ -619,10 +657,6 @@ def run_rank(
             "repro_spans_dropped_total",
             "trace spans discarded at the recorder bound",
         ).inc(rec.dropped)
-        registry.gauge(
-            "repro_b_service_max_instantiations",
-            "most instantiations of any one B tile on a rank",
-        ).set(b_source.max_instantiations())
         registry.gauge(
             "repro_blas_threads",
             "BLAS threads each tile GEMM ran with (0: not pinned)",

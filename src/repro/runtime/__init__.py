@@ -6,8 +6,9 @@ forcing the scheduler to respect the block/chunk memory strategy), with
 data collections that can generate tiles on demand.  This package rebuilds
 those pieces at the fidelity a simulation needs:
 
-* :mod:`~repro.runtime.data` — tile sources, including the on-demand
-  generated B collection with its at-most-once-per-process life-cycle;
+* :mod:`~repro.runtime.data` — the on-demand generated B collection and
+  the one B source per rank (LRU over generated B, or resident B) with
+  its at-most-once-per-process life-cycle;
 * :mod:`~repro.runtime.gpu_memory` — a GPU memory manager enforcing the
   50/25/25 budget split;
 * :mod:`~repro.runtime.numeric` — in-process *numerical* execution of an
@@ -22,10 +23,12 @@ those pieces at the fidelity a simulation needs:
 """
 
 from repro.runtime.data import (
+    BService,
     DelayedGeneratedCollection,
     GeneratedCollection,
-    MatrixSource,
+    ResidentB,
     TileSource,
+    b_source,
 )
 from repro.runtime.gpu_memory import GpuMemory, GpuMemoryError
 from repro.runtime.metrics import MetricsRegistry, MetricsSnapshot
@@ -38,9 +41,11 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "TileSource",
+    "BService",
     "DelayedGeneratedCollection",
     "GeneratedCollection",
-    "MatrixSource",
+    "ResidentB",
+    "b_source",
     "GpuMemory",
     "GpuMemoryError",
     "NumericStats",

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.plan import Block, ExecutionPlan, ProcPlan
 from repro.runtime.blas import one_thread_per_gemm
-from repro.runtime.data import MatrixSource, TileSource
+from repro.runtime.data import GeneratedCollection, TileSource, b_source
 from repro.runtime.gpu_memory import GpuMemory
 from repro.sparse.matrix import BlockSparseMatrix
 from repro.util.validation import require
@@ -54,7 +54,10 @@ class NumericStats:
     h2d_bytes, d2h_bytes:
         Host->device traffic (B blocks + A chunks) and C writeback.
     b_tiles_generated:
-        Tiles pulled from the B source, summed over processes.
+        Tiles instantiated by the B sources, summed over processes.
+    b_max_instantiations:
+        Most instantiations of any one B tile on one process (the paper's
+        "at most once per node" invariant: 1).
     gpu_peak_bytes:
         Maximum device-memory high-water mark over all GPUs.
     per_proc_tasks:
@@ -66,6 +69,7 @@ class NumericStats:
     h2d_bytes: int = 0
     d2h_bytes: int = 0
     b_tiles_generated: int = 0
+    b_max_instantiations: int = 0
     gpu_peak_bytes: int = 0
     per_proc_tasks: dict[int, int] = field(default_factory=dict)
 
@@ -74,7 +78,8 @@ class NumericStats:
         """Combine per-process (or per-attempt) statistics into a total.
 
         Counters are summed, ``gpu_peak_bytes`` is the max over parts (each
-        part tracks a disjoint set of GPUs), and ``per_proc_tasks`` is the
+        part tracks a disjoint set of GPUs), so is ``b_max_instantiations``
+        (each part owns its B source), and ``per_proc_tasks`` is the
         union of the per-rank task counts (summed on the rare key overlap,
         e.g. a rank re-executed after a fault).
         """
@@ -85,6 +90,9 @@ class NumericStats:
             out.h2d_bytes += s.h2d_bytes
             out.d2h_bytes += s.d2h_bytes
             out.b_tiles_generated += s.b_tiles_generated
+            out.b_max_instantiations = max(
+                out.b_max_instantiations, s.b_max_instantiations
+            )
             out.gpu_peak_bytes = max(out.gpu_peak_bytes, s.gpu_peak_bytes)
             for rank, n in s.per_proc_tasks.items():
                 out.per_proc_tasks[rank] = out.per_proc_tasks.get(rank, 0) + n
@@ -245,7 +253,9 @@ def execute_blocks(
     and stats are exactly the ones the origin would have produced.  B
     tiles are evicted at the end of each block's life-cycle (``b.evict``),
     C tiles are counted as written back (d2h) once per block, exactly as
-    PaRSEC's control DAG forces on the real machine.
+    PaRSEC's control DAG forces on the real machine.  ``b`` is this call's
+    own source (from :func:`~repro.runtime.data.b_source`): its counts
+    become the stats' ``b_tiles_generated`` and ``b_max_instantiations``.
 
     Checkpoint hooks: ``restore_block(g, bi, block)`` may return the
     block's finished ``{(i, j): tile}`` dict — the whole block is then
@@ -312,21 +322,22 @@ def execute_blocks(
                 on_block(g, bi, block, c_dev)
 
             # Evict the block's B tiles at end of life-cycle.
-            if hasattr(b, "evict"):
-                for k, js in cols_of_k.items():
-                    for j in js:
-                        b.evict(rank, k, j)
+            for k, js in cols_of_k.items():
+                for j in js:
+                    b.evict(rank, k, j)
 
             mem.release(block_name)
     stats.gpu_peak_bytes = max((mem.peak for mem in mems.values()), default=0)
     stats.per_proc_tasks[rank] = stats.ntasks
+    stats.b_tiles_generated = b.generated_tiles()
+    stats.b_max_instantiations = b.max_instantiations()
     return produced, stats
 
 
 def execute_plan(
     plan: ExecutionPlan,
     a: BlockSparseMatrix,
-    b: TileSource | BlockSparseMatrix,
+    b: GeneratedCollection | BlockSparseMatrix,
     c: BlockSparseMatrix | None = None,
     alpha: float = 1.0,
     beta: float = 1.0,
@@ -335,10 +346,11 @@ def execute_plan(
 
     ``C <- beta * C + alpha * A @ B`` — the full GEMM semantics the paper
     states (``C <- alpha A B + beta C``); ``c`` (if given) supplies the
-    input C.  The result's tilings are ``(a.rows, B cols)``.
+    input C.  The result's tilings are ``(a.rows, B cols)``.  ``b`` is a
+    :class:`~repro.runtime.data.GeneratedCollection` or a concrete matrix
+    (anything with ``get_tile``); each rank pulls it through a fresh
+    :func:`~repro.runtime.data.b_source`, as a distributed rank does.
     """
-    if isinstance(b, BlockSparseMatrix):
-        b = MatrixSource(b)
     require(a.rows == plan.a_shape.rows and a.cols == plan.a_shape.cols, "A tilings differ from plan")
     b_rows = plan.b_shape.rows
     b_cols = plan.b_shape.cols
@@ -358,7 +370,7 @@ def execute_plan(
         produced, proc_stats = execute_proc_plan(
             proc,
             a.get_tile,
-            b,
+            b_source(b, plan.gpu_memory_bytes),
             gpus_per_proc=plan.grid.gpus_per_proc,
             gpu_memory_bytes=plan.gpu_memory_bytes,
             b_csr=b_csr,
@@ -374,9 +386,4 @@ def execute_plan(
             )
             out.accumulate_tile(i, j, tile)
 
-    stats = NumericStats.merge(parts)
-    if hasattr(b, "generated_tiles"):
-        stats.b_tiles_generated = b.generated_tiles()
-    elif isinstance(b, MatrixSource):
-        stats.b_tiles_generated = len(b.access_counts)
-    return out, stats
+    return out, NumericStats.merge(parts)

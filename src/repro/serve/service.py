@@ -40,6 +40,12 @@ never clobber each other's observability.
 Failure containment: a job that raises marks only that job failed; the
 service recycles the pool's processes (:func:`~repro.serve.reset_pool`)
 and drains stale traffic so the next job starts clean.
+
+Bounded history: a long-lived service keeps the C matrix and report of
+only the :data:`RESULTS_KEPT` most recently finished jobs.  Older jobs
+keep their :class:`Job` record (state, timings, error) for :meth:`jobs`,
+but :meth:`~ContractionService.result` and
+:meth:`~ContractionService.report` on them raise :class:`LookupError`.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import queue as _queue
 import secrets
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -62,6 +69,10 @@ from repro.util.validation import require
 #: The plan-verifier rules admission control enforces: every memory-budget
 #: rule whose violation would OOM (and thereby kill) a warm worker.
 MEMORY_RULES = frozenset({"P110", "P111", "P112", "P114"})
+
+#: Finished jobs whose C and report the service keeps; older ones release
+#: theirs (a warm-iter job's C alone is ~5 MiB).
+RESULTS_KEPT = 8
 
 #: Job life-cycle states, in order.
 QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
@@ -90,7 +101,8 @@ class Job:
     """One queued contraction and everything observed about it.
 
     ``plan``, ``a``, ``b`` and ``kwargs`` are the job's input: they are
-    dropped when it finishes, while ``result`` and ``report`` stay.
+    dropped when it finishes.  ``result`` and ``report`` stay until
+    :data:`RESULTS_KEPT` later jobs have finished.
     """
 
     job_id: str
@@ -176,6 +188,8 @@ class ContractionService:
         self._verify = verify
         self._dist_kwargs = dict(dist_kwargs)
         self._jobs: dict[str, Job] = {}
+        #: The finished jobs still holding their result and report.
+        self._kept: deque[Job] = deque()
         self._lock = threading.Lock()
         self._seq = 0
         self._open = True
@@ -230,21 +244,23 @@ class ContractionService:
         """Block until the job finishes; returns ``(C, DistReport)``.
 
         Raises :class:`JobFailedError` (chaining the worker-side
-        exception) for a failed job, :class:`TimeoutError` on timeout.
+        exception) for a failed job, :class:`TimeoutError` on timeout,
+        :class:`LookupError` once :data:`RESULTS_KEPT` later jobs have
+        finished and this one's result was released.
         """
         job = self._job(job_id)
         if not job.done.wait(timeout=timeout):
             raise TimeoutError(f"job {job_id} still {job.state} after {timeout}s")
         if job.state != DONE:
             raise JobFailedError(f"job {job_id} {job.state}") from job.error
-        return job.result, job.report
+        return self._output(job)
 
     def status(self, job_id: str) -> str:
         return self._job(job_id).state
 
     def report(self, job_id: str):
         """The finished job's :class:`~repro.dist.DistReport` (else ``None``)."""
-        return self._job(job_id).report
+        return self._output(self._job(job_id))[1]
 
     def jobs(self) -> list[dict]:
         """Snapshot of every job (submission order) for status tables."""
@@ -321,6 +337,17 @@ class ContractionService:
         require(job is not None, f"unknown job id {job_id!r}")
         return job
 
+    def _output(self, job: Job) -> tuple:
+        """``(C, report)`` of ``job``, unless the bound has released them."""
+        with self._lock:
+            if job.state == DONE and job.report is None:
+                raise LookupError(
+                    f"job {job.job_id}'s result was released: the service "
+                    f"keeps the results of only the {RESULTS_KEPT} most "
+                    f"recently finished jobs"
+                )
+            return job.result, job.report
+
     def _run_scheduler(self) -> None:
         while not self._stop.is_set():
             try:
@@ -372,6 +399,12 @@ class ContractionService:
         # past job's A and B for the service's lifetime.
         job.plan = job.a = job.b = None
         job.kwargs = {}
+        if state == DONE:
+            with self._lock:
+                self._kept.append(job)
+                if len(self._kept) > RESULTS_KEPT:
+                    old = self._kept.popleft()
+                    old.result = old.report = None
         job.state = state
         job.error = error
         job.finished_s = time.monotonic()

@@ -132,8 +132,10 @@ class SparseShape:
         return int((self.rows.sizes[i] * self.cols.sizes[j]).max()) * dtype_bytes
 
     def has_tile(self, i: int, j: int) -> bool:
-        """Whether tile ``(i, j)`` is present."""
-        return bool(self._csr[i, j] != 0)
+        """Whether tile ``(i, j)`` is present (a binary search of row ``i``)."""
+        row = self._csr.indices[self._csr.indptr[i]:self._csr.indptr[i + 1]]
+        k = np.searchsorted(row, j)
+        return bool(k < len(row) and row[k] == j)
 
     def tile_norms(self) -> sp.csr_matrix:
         """Per-tile norms as CSR (values of the canonical matrix)."""

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.runtime import DiscreteEventEngine, GeneratedCollection, Resource, SimTask
+from repro.runtime import (
+    BService,
+    DiscreteEventEngine,
+    GeneratedCollection,
+    Resource,
+    SimTask,
+)
 from repro.sparse import SparseShape
 from repro.tiling import Tiling
 
@@ -62,8 +68,9 @@ class TestGeneratedCollectionEdges:
 
     def test_evict_unknown_is_noop(self):
         t = Tiling.from_sizes([2])
-        g = GeneratedCollection(SparseShape.full(t, t), seed=0)
-        g.evict(0, 0, 0)  # never materialized; must not raise
+        svc = BService(GeneratedCollection(SparseShape.full(t, t), seed=0), 1 << 20)
+        svc.evict(0, 0, 0)  # never materialized; must not raise
+        assert svc.cached_bytes == 0
 
 
 class TestEngineEdges:

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from repro.core import PlanOptions, inspect, psgemm_numeric
 from repro.machine import summit
 from repro.runtime import GeneratedCollection, execute_plan
-from repro.runtime.data import MatrixSource
-from repro.sparse import random_block_sparse
+from repro.sparse import SparseShape, random_block_sparse
 from repro.sparse.construct import from_shape
 from repro.sparse.gemm_ref import block_gemm_reference, gemm_against_dense
 from repro.sparse.random_sparsity import random_shape_with_density
@@ -115,8 +114,24 @@ class TestInvariants:
         b_shape = bmat.sparse_shape()
         gen = GeneratedCollection(b_shape, seed=1)
         plan = inspect(a.sparse_shape(), b_shape, summit(2), p=2, gpus_per_proc=3)
-        execute_plan(plan, a, gen)
-        assert gen.max_instantiations_per_proc_tile() == 1
+        _, stats = execute_plan(plan, a, gen)
+        assert stats.b_max_instantiations == 1
+
+    def test_structure_checked_once_per_generated_tile(self, monkeypatch):
+        """The serial oracle pays the structural check per instantiation
+        (as a rank's LRU does), not per task."""
+        a, bmat = operands(seed=6)
+        b_shape = bmat.sparse_shape()
+        plan = inspect(a.sparse_shape(), b_shape, summit(2), p=2, gpus_per_proc=3)
+        calls = []
+        has_tile = SparseShape.has_tile
+        monkeypatch.setattr(
+            SparseShape, "has_tile",
+            lambda self, i, j: calls.append((i, j)) or has_tile(self, i, j),
+        )
+        _, stats = execute_plan(plan, a, GeneratedCollection(b_shape, seed=1))
+        assert stats.ntasks > stats.b_tiles_generated > 0
+        assert len(calls) <= stats.b_tiles_generated
 
     def test_h2d_accounts_blocks_and_chunks(self):
         a, b = operands(seed=7)
@@ -150,7 +165,7 @@ class TestInvariants:
             execute_plan(plan, a2, b)
 
     def test_from_shape_values_used_for_matrix_b(self):
-        # A BlockSparseMatrix passed directly is wrapped in a MatrixSource.
+        # A BlockSparseMatrix B is read in place by each rank's ResidentB.
         a, b = operands(seed=12)
         plan = inspect(a.sparse_shape(), b.sparse_shape(), summit(1))
         c1, _ = execute_plan(plan, a, b)
@@ -184,26 +199,23 @@ class TestGemmScalars:
 
 
 class _RecordingSource:
-    """A B source that records the BLAS count its GEMMs run under, and
+    """A resident B that records the BLAS count its GEMMs run under, and
     optionally waits at its first tile or raises at its third."""
 
     def __init__(self, b, count, *, barrier=None, raise_at=None):
-        self._inner = MatrixSource(b)
+        self._inner = b
         self._count = count
         self._barrier = barrier
         self._raise_at = raise_at
         self.seen: list[int] = []
 
-    def has_tile(self, k, j):
-        return self._inner.has_tile(k, j)
-
-    def tile(self, proc, k, j):
+    def get_tile(self, k, j):
         self.seen.append(self._count.value)
         if self._barrier is not None and len(self.seen) == 1:
             self._barrier.wait(timeout=30)
         if len(self.seen) == self._raise_at:
             raise RuntimeError("tile source failed")
-        return self._inner.tile(proc, k, j)
+        return self._inner.get_tile(k, j)
 
 
 class TestOneBlasThreadPerGemm:

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.runtime import GeneratedCollection, GpuMemory, GpuMemoryError, MatrixSource
+from repro.runtime import (
+    BService,
+    GeneratedCollection,
+    GpuMemory,
+    GpuMemoryError,
+    MetricsRegistry,
+    ResidentB,
+    b_source,
+)
 from repro.sparse import SparseShape, random_block_sparse
 from repro.sparse.construct import from_shape
 from repro.tiling import Tiling
@@ -21,56 +29,75 @@ class TestGeneratedCollection:
         assert g.has_tile(0, 0)
         assert not g.has_tile(0, 1)
         with pytest.raises(KeyError):
-            g.tile(0, 0, 1)
-
-    def test_instantiated_at_most_once_per_proc(self):
-        g = GeneratedCollection(shape(), seed=0)
-        t1 = g.tile(0, 0, 0)
-        t2 = g.tile(0, 0, 0)
-        assert t1 is t2
-        assert g.max_instantiations_per_proc_tile() == 1
-        g.tile(1, 0, 0)  # another process: its own instantiation
-        assert g.generated_tiles() == 2
-        assert g.generated_tiles(proc=0) == 1
-
-    def test_eviction_then_regeneration_same_values(self):
-        g = GeneratedCollection(shape(), seed=3)
-        before = g.tile(0, 1, 2).copy()
-        g.evict(0, 1, 2)
-        after = g.tile(0, 1, 2)
-        assert np.allclose(before, after)
+            g.generate_tile(0, 1)
 
     def test_values_order_independent(self):
         g1 = GeneratedCollection(shape(), seed=7)
         g2 = GeneratedCollection(shape(), seed=7)
-        a1 = g1.tile(0, 0, 0)
-        g2.tile(0, 1, 1)  # different first touch
-        a2 = g2.tile(0, 0, 0)
+        a1 = g1.generate_tile(0, 0)
+        g2.generate_tile(1, 1)  # different first touch
+        a2 = g2.generate_tile(0, 0)
         assert np.allclose(a1, a2)
 
     def test_matches_from_shape_materialization(self):
         s = shape()
         g = GeneratedCollection(s, seed=11)
         mat = from_shape(s, fill="random", seed=11)
-        assert np.allclose(g.tile(0, 1, 1), mat.get_tile(1, 1))
+        assert np.allclose(g.generate_tile(1, 1), mat.get_tile(1, 1))
         assert g.as_matrix().allclose(mat)
 
     def test_ones_fill_and_bytes(self):
         g = GeneratedCollection(shape(), fill="ones")
-        assert np.all(g.tile(0, 0, 0) == 1.0)
+        assert np.all(g.generate_tile(0, 0) == 1.0)
         assert g.tile_nbytes(0, 0) == 2 * 4 * 8
         assert g.tile_shape(1, 2) == (3, 2)
 
 
-class TestMatrixSource:
+class TestBService:
+    """The generated-B life-cycle: once per rank, evict, regenerate."""
+
+    def test_instantiated_at_most_once_per_proc(self):
+        g = GeneratedCollection(shape(), seed=0)
+        svc = BService(g, 1 << 20)
+        t1 = svc.tile(0, 0, 0)
+        t2 = svc.tile(0, 0, 0)
+        assert t1 is t2
+        assert svc.max_instantiations() == 1
+        assert svc.generated_tiles() == 1
+        # Another rank owns another source: its own instantiation.
+        other = BService(g, 1 << 20)
+        other.tile(1, 0, 0)
+        assert other.generated_tiles() == 1
+        assert svc.generated_tiles() == 1
+
+    def test_eviction_then_regeneration_same_values(self):
+        svc = BService(GeneratedCollection(shape(), seed=3), 1 << 20)
+        before = svc.tile(0, 1, 2).copy()
+        svc.evict(0, 1, 2)
+        after = svc.tile(0, 1, 2)
+        assert np.allclose(before, after)
+        assert svc.max_instantiations() == 2
+
+
+class TestResidentB:
     def test_counts_accesses(self):
         m = random_block_sparse(Tiling.uniform(40, 10), Tiling.uniform(40, 10), 1.0, seed=0)
-        src = MatrixSource(m)
+        registry = MetricsRegistry()
+        src = ResidentB(m.get_tile, metrics=registry)
+        assert src.tile(0, 1, 1) is m.get_tile(1, 1)
         src.tile(0, 1, 1)
-        src.tile(0, 1, 1)
-        assert src.access_counts[(0, 1, 1)] == 2
-        assert src.has_tile(1, 1)
-        assert src.tile_nbytes(1, 1) == 10 * 10 * 8
+        src.tile(0, 2, 1)
+        src.evict(0, 1, 1)  # the matrix is the cache: nothing to drop
+        assert src.generated_tiles() == 2
+        assert src.max_instantiations() == 1
+        snap = registry.snapshot()
+        assert snap.get("repro_b_service_misses_total") == 2
+        assert snap.get("repro_b_service_hits_total") == 1
+
+    def test_b_source_picks_the_backing(self):
+        g = GeneratedCollection(shape(), seed=0)
+        assert isinstance(b_source(g, 1 << 20), BService)
+        assert isinstance(b_source(g.as_matrix(), 1 << 20), ResidentB)
 
 
 class TestGpuMemory:

@@ -214,6 +214,28 @@ class TestContractionService:
         finally:
             svc.shutdown()
 
+    def test_service_keeps_only_the_latest_results(self, problem):
+        from repro.serve.service import RESULTS_KEPT
+
+        plan, a, b, oracle = problem
+        svc = ContractionService(plan.grid.nprocs)
+        try:
+            ids = []
+            for _ in range(RESULTS_KEPT + 2):
+                ids.append(svc.submit(plan, a, b.empty_clone()))
+                svc.result(ids[-1], timeout=120)
+            with pytest.raises(LookupError, match=f"only the {RESULTS_KEPT} most"):
+                svc.result(ids[0])
+            with pytest.raises(LookupError, match="released"):
+                svc.report(ids[0])
+            # Released jobs keep their record for status tables.
+            assert [j["state"] for j in svc.jobs()] == ["done"] * len(ids)
+            out, report = svc.result(ids[-1])
+            assert np.array_equal(out.to_dense(), oracle)
+            assert report is svc.report(ids[-1]) is not None
+        finally:
+            svc.shutdown()
+
     def test_per_job_artifacts_are_disjoint(self, problem, tmp_path):
         plan, a, b, _ = problem
         svc = ContractionService(plan.grid.nprocs, artifacts_dir=str(tmp_path))
@@ -438,3 +460,44 @@ def test_first_scatter_of_a_process_is_traced_from_its_spawn(problem):
     assert _inbox_waits(first) == ranks
     assert _inbox_waits(second) == []
     assert first.run_hash and second.run_hash == first.run_hash
+
+
+@pytest.mark.dist
+def test_pooled_concrete_b_job_hashes_nothing(problem):
+    """A concrete B is resident in its arena and never enters a warm cache,
+    so a pooled job over one, without a store, fingerprints nothing, and
+    stays bit-equal to the serial oracle."""
+    from repro.dist import WorkerPool, execute_plan_distributed
+
+    plan, a, b, _ = problem
+    b_mat = b.as_matrix()
+    c_serial, _ = execute_plan(plan, a, b_mat)
+    pool = WorkerPool(plan.grid.nprocs)
+    try:
+        c, report = execute_plan_distributed(plan, a, b_mat, pool=pool)
+    finally:
+        pool.close()
+    assert report.run_hash == "" and report.plan_hash == ""
+    assert np.array_equal(c.to_dense(), c_serial.to_dense())
+
+
+@pytest.mark.dist
+def test_serve_cli_reads_every_report_past_the_result_bound(tmp_path, capsys):
+    """``repro serve`` reads each report as its job ends, so a spec with
+    more un-waited jobs than the service keeps results for still succeeds
+    and counts every job's warm hits."""
+    from repro.cli import main
+    from repro.serve.service import RESULTS_KEPT
+
+    njobs = RESULTS_KEPT + 2
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "procs": 2,
+        "jobs": [{"seed": 0, "m": 100, "k": 300} for _ in range(njobs)],
+    }))
+    # A long table interval: the CLI must not wait for it to read reports.
+    art = str(tmp_path / "art")
+    assert main(["serve", str(spec), "--interval", "30", "--artifacts", art]) == 0
+    out, err = capsys.readouterr()
+    assert f"{njobs} job(s), 0 failure(s)" in out
+    assert "released" not in err

@@ -32,6 +32,25 @@ class TestSparseShape:
         assert not s.has_tile(1, 1)
         assert s.element_nnz == 2 * 1 + 4 * 3
 
+    def test_has_tile_agrees_with_csr_everywhere(self):
+        """The row search equals the CSR entry test for every key, present
+        or absent, also on a pickled copy and on the transpose."""
+        import pickle
+
+        rows = random_tiling(400, 10, 40, seed=3)
+        cols = random_tiling(300, 10, 40, seed=4)
+        s = random_shape_with_density(rows, cols, 0.3, seed=5)
+        copy = pickle.loads(pickle.dumps(s))
+        for shape in (s, copy, s.transpose()):
+            csr = shape.csr
+            got = [
+                shape.has_tile(i, j)
+                for i in range(shape.ntile_rows) for j in range(shape.ntile_cols)
+            ]
+            want = (csr.toarray() != 0).ravel().tolist()
+            assert got == want
+            assert 0 < sum(got) < len(got)
+
     def test_mask_shape_validated(self):
         r, c = small_grid()
         with pytest.raises(ValueError):
